@@ -13,6 +13,7 @@ package dram
 
 import (
 	"fmt"
+	"strings"
 
 	"secddr/internal/config"
 )
@@ -457,15 +458,16 @@ func max64(a, b int64) int64 {
 // DebugState renders per-bank timing state. Opt-in debugging aid for
 // divergence localization (see memctrl.Controller.DebugState).
 func (c *Channel) DebugState() string {
-	s := fmt.Sprintf("bus=%d lastRank=%d lastCmd=%d ", c.dataBusFreeAt, c.lastBurstRank, c.lastCmdCycle)
+	var s strings.Builder
+	fmt.Fprintf(&s, "bus=%d lastRank=%d lastCmd=%d ", c.dataBusFreeAt, c.lastBurstRank, c.lastCmdCycle)
 	for r := range c.rank {
 		rk := &c.rank[r]
-		s += fmt.Sprintf("r%d(ref=%d,busy=%d)[", r, rk.nextREF, rk.refBusy)
+		fmt.Fprintf(&s, "r%d(ref=%d,busy=%d)[", r, rk.nextREF, rk.refBusy)
 		for b := range rk.banks {
 			bk := &rk.banks[b]
-			s += fmt.Sprintf("%d:%d/%d,%d,%d,%d ", b, bk.openRow, bk.nextACT, bk.nextPRE, bk.nextRD, bk.nextWR)
+			fmt.Fprintf(&s, "%d:%d/%d,%d,%d,%d ", b, bk.openRow, bk.nextACT, bk.nextPRE, bk.nextRD, bk.nextWR)
 		}
-		s += "] "
+		s.WriteString("] ")
 	}
-	return s
+	return s.String()
 }

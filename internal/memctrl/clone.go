@@ -9,21 +9,20 @@ func (c *Controller) Clone() *Controller {
 	*n = *c
 	n.ch = c.ch.Clone()
 	n.mapper = c.mapper.Clone()
-	n.readQ = cloneRequests(c.readQ)
-	n.writeQ = cloneRequests(c.writeQ)
+	n.readQ = c.readQ.Clone()
+	n.writeQ = c.writeQ.Clone()
 	n.pending = append(completionHeap(nil), c.pending...)
 	n.doneBuf = append([]Completion(nil), c.doneBuf...)
 	return n
 }
 
-func cloneRequests(src []*Request) []*Request {
-	if src == nil {
-		return nil
+// Clone returns a deep copy of the queue: its per-bank lists and mask.
+func (q queue) Clone() queue {
+	n := q
+	n.banks = make([][]Request, len(q.banks))
+	for b, l := range q.banks {
+		n.banks[b] = append([]Request(nil), l...)
 	}
-	out := make([]*Request, len(src))
-	for i, r := range src {
-		cp := *r
-		out[i] = &cp
-	}
-	return out
+	n.busy = append([]uint64(nil), q.busy...)
+	return n
 }

@@ -3,12 +3,35 @@
 // with row-hit-first and read-over-write priority, watermark-based write
 // draining, read-around-write forwarding, and refresh management. It drives
 // the cycle-level dram.Channel command interface.
+//
+// Each queue is indexed per bank, as in Ramulator and DRAMSim3: one
+// arrival-ordered list per flat bank (rank*Banks + bankGroup*banksPerGroup
+// + bank) plus a bitmask of the non-empty lists. Command legality depends
+// on bank, rank and bus timing, never on the row or column, so FR-FCFS
+// needs at most two candidates per bank: the oldest request hitting the
+// open row (column command), and the oldest request if it is not a hit
+// (PRE on a conflict, ACT on a closed bank). Younger hits and younger
+// conflicts or ACTs are ready exactly when these are, and a conflict queued
+// behind an older hit never issues (precharging would close a row an older
+// request still needs). The oldest ready candidate is therefore the
+// request a per-request row-hit-first scan would pick: the command stream
+// is byte-identical to that scan's.
+//
+// One pass per queue evaluates each candidate's earliest issue cycle once.
+// That value both picks the winner (ready now, oldest ID) and, when
+// nothing issues, bounds the next cycle anything could (see Tick). The
+// bound skips conflicts behind an older hit and ranks awaiting refresh yet
+// stays conservative: such a conflict can act only after the older hit
+// issues, and a blocked rank only after its refresh steps, both covered.
 package memctrl
 
 import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"math/bits"
+	"sort"
+	"strings"
 
 	"secddr/internal/config"
 	"secddr/internal/dram"
@@ -17,6 +40,14 @@ import (
 // ErrQueueFull is returned when the target queue has no free entry; the
 // caller must apply backpressure and retry.
 var ErrQueueFull = errors.New("memctrl: queue full")
+
+// never is the far-future sentinel for "no such cycle".
+const never = int64(1) << 62
+
+// sparseQueued is the queue occupancy (reads plus writes) up to which Tick
+// probes the gap after an isolated command: on mcf, a quarter of probes at
+// 4-7 queued requests found work the next cycle, over half at 16 or more.
+const sparseQueued = 8
 
 // Request is one line-granularity memory request.
 type Request struct {
@@ -34,14 +65,50 @@ type Completion struct {
 	Done int64 // memory cycle the data burst completed
 }
 
+// queue is one request queue indexed per flat bank.
+type queue struct {
+	col   dram.Command // column command its requests need: RD or WR
+	banks [][]Request  // per flat bank, arrival (= ID) order
+	busy  []uint64     // bit b set iff banks[b] is non-empty
+	n     int
+}
+
+func newQueue(col dram.Command, nbanks int) queue {
+	return queue{col: col, banks: make([][]Request, nbanks), busy: make([]uint64, (nbanks+63)/64)}
+}
+
+func (q *queue) push(b int, r Request) {
+	q.banks[b] = append(q.banks[b], r)
+	q.busy[b>>6] |= 1 << (b & 63)
+	q.n++
+}
+
+func (q *queue) remove(b, i int) {
+	q.banks[b] = append(q.banks[b][:i], q.banks[b][i+1:]...)
+	if len(q.banks[b]) == 0 {
+		q.busy[b>>6] &^= 1 << (b & 63)
+	}
+	q.n--
+}
+
+// has reports whether bank b's list holds a request for lineAddr.
+func (q *queue) has(b int, lineAddr uint64) bool {
+	for i := range q.banks[b] {
+		if q.banks[b][i].Addr == lineAddr {
+			return true
+		}
+	}
+	return false
+}
+
 // Controller owns one channel.
 type Controller struct {
 	cfg    config.DRAM
 	ch     *dram.Channel
 	mapper *dram.AddressMapper
 
-	readQ  []*Request
-	writeQ []*Request
+	readQ  queue
+	writeQ queue
 
 	draining  bool
 	drainHigh int // write-drain high watermark, in queue entries
@@ -85,6 +152,8 @@ func New(cfg config.DRAM) (*Controller, error) {
 		cfg:    cfg,
 		ch:     ch,
 		mapper: mapper,
+		readQ:  newQueue(dram.CmdRD, cfg.Ranks*cfg.Banks),
+		writeQ: newQueue(dram.CmdWR, cfg.Ranks*cfg.Banks),
 		// The hysteresis thresholds are derived once: the quiet-span
 		// machinery and the scheduler must agree on them exactly, or
 		// event-driven runs would diverge from the reference loop.
@@ -100,20 +169,27 @@ func (c *Controller) Channel() *dram.Channel { return c.ch }
 func (c *Controller) Mapper() *dram.AddressMapper { return c.mapper }
 
 // ReadQueueLen and WriteQueueLen return current occupancies.
-func (c *Controller) ReadQueueLen() int { return len(c.readQ) }
+func (c *Controller) ReadQueueLen() int { return c.readQ.n }
 
 // WriteQueueLen returns the current write-queue occupancy.
-func (c *Controller) WriteQueueLen() int { return len(c.writeQ) }
+func (c *Controller) WriteQueueLen() int { return c.writeQ.n }
 
 // CanEnqueueRead reports whether a read slot is free.
-func (c *Controller) CanEnqueueRead() bool { return len(c.readQ) < c.cfg.ReadQueueEntries }
+func (c *Controller) CanEnqueueRead() bool { return c.readQ.n < c.cfg.ReadQueueEntries }
 
 // CanEnqueueWrite reports whether a write slot is free.
-func (c *Controller) CanEnqueueWrite() bool { return len(c.writeQ) < c.cfg.WriteQueueEntries }
+func (c *Controller) CanEnqueueWrite() bool { return c.writeQ.n < c.cfg.WriteQueueEntries }
 
 // touch records an issue-side state mutation: it invalidates the quiet
 // bound so the next Tick re-evaluates the scheduler.
 func (c *Controller) touch() { c.quietDirty = true }
+
+// locate maps addr to its line address, DRAM location and flat bank.
+func (c *Controller) locate(addr uint64) (uint64, dram.Loc, int) {
+	lineAddr := addr &^ uint64(c.cfg.LineBytes-1)
+	_, loc := c.mapper.Map(lineAddr)
+	return lineAddr, loc, loc.Rank*c.cfg.Banks + loc.BankGroup*c.cfg.BanksPerGroup() + loc.Bank
+}
 
 // CanAccept reports, without mutating any state, whether an enqueue of
 // (addr, write) would succeed right now: a free queue slot, a write-queue
@@ -121,11 +197,8 @@ func (c *Controller) touch() { c.quietDirty = true }
 // next-event computation uses it to detect that a backlogged request could
 // drain on the next cycle.
 func (c *Controller) CanAccept(addr uint64, write bool) bool {
-	lineAddr := addr &^ uint64(c.cfg.LineBytes-1)
-	for _, w := range c.writeQ {
-		if w.Addr == lineAddr {
-			return true // write coalesce or read forwarding
-		}
+	if lineAddr, _, b := c.locate(addr); c.writeQ.has(b, lineAddr) {
+		return true // write coalesce or read forwarding
 	}
 	if write {
 		return c.CanEnqueueWrite()
@@ -137,38 +210,47 @@ func (c *Controller) CanAccept(addr uint64, write bool) bool {
 // read is served by store-forwarding: it completes immediately (forwarded
 // true) and never occupies a queue slot.
 func (c *Controller) EnqueueRead(addr uint64, now int64) (id uint64, forwarded bool, err error) {
-	lineAddr := addr &^ uint64(c.cfg.LineBytes-1)
-	for _, w := range c.writeQ {
-		if w.Addr == lineAddr {
-			c.ReadsForwarded++
-			c.nextID++
-			return c.nextID, true, nil
-		}
+	lineAddr, loc, b := c.locate(addr)
+	if c.writeQ.has(b, lineAddr) {
+		c.ReadsForwarded++
+		c.nextID++
+		return c.nextID, true, nil
 	}
 	if !c.CanEnqueueRead() {
 		return 0, false, ErrQueueFull
 	}
 	c.nextID++
-	_, loc := c.mapper.Map(lineAddr)
-	req := &Request{ID: c.nextID, Addr: lineAddr, Arrival: now, loc: loc}
-	c.readQ = append(c.readQ, req)
+	c.readQ.push(b, Request{ID: c.nextID, Addr: lineAddr, Arrival: now, loc: loc})
 	c.ReadsEnqueued++
-	c.noteEnqueued(req, dram.CmdRD, now)
+	c.noteEnqueued(&c.readQ, b, now)
 	return c.nextID, false, nil
 }
 
-// noteEnqueued folds a newly queued request into the quiet bound. Adding a
-// request can only add issue opportunities and touches no channel state, so
-// min-ing its own earliest issue into a still-valid bound stays sound at
-// O(1) instead of invalidating the span. Crossing the write-drain high
-// watermark must still invalidate: the pending drain toggle is next-cycle
-// scheduler work no per-request term covers.
-func (c *Controller) noteEnqueued(req *Request, col dram.Command, now int64) {
-	if !c.eventDriven || c.quietDirty {
-		c.quietDirty = true
-		return
+// EnqueueWrite queues a write-back for addr. Writes to a line already in
+// the write queue coalesce into the existing entry.
+func (c *Controller) EnqueueWrite(addr uint64, now int64) error {
+	lineAddr, loc, b := c.locate(addr)
+	if c.writeQ.has(b, lineAddr) {
+		return nil // coalesced
 	}
-	if !c.draining && len(c.writeQ) >= c.drainHigh {
+	if !c.CanEnqueueWrite() {
+		return ErrQueueFull
+	}
+	c.nextID++
+	c.writeQ.push(b, Request{ID: c.nextID, Addr: lineAddr, Write: true, Arrival: now, loc: loc})
+	c.WritesEnqueued++
+	c.noteEnqueued(&c.writeQ, b, now)
+	return nil
+}
+
+// noteEnqueued folds bank b's candidates, just joined by a new request,
+// into the quiet bound. Adding a request can only add issue opportunities
+// and touches no channel state, so min-ing its bank's candidates into a
+// still-valid bound stays sound without invalidating the span. Crossing
+// the write-drain high watermark must still invalidate: the pending drain
+// toggle is next-cycle scheduler work no per-bank term covers.
+func (c *Controller) noteEnqueued(q *queue, b int, now int64) {
+	if !c.eventDriven || c.quietDirty || (!c.draining && c.writeQ.n >= c.drainHigh) {
 		c.quietDirty = true
 		return
 	}
@@ -177,35 +259,13 @@ func (c *Controller) noteEnqueued(req *Request, col dram.Command, now int64) {
 	// can legally issue in the very cycle it arrives. For enqueues that
 	// land after the pass the bound is one cycle conservative, which only
 	// costs a no-op wake.
-	if t := c.nextIssuable(req, col, now-1); t < c.quietUntil {
-		c.quietUntil = t
-	}
-}
-
-// EnqueueWrite queues a write-back for addr. Writes to a line already in
-// the write queue coalesce into the existing entry.
-func (c *Controller) EnqueueWrite(addr uint64, now int64) error {
-	lineAddr := addr &^ uint64(c.cfg.LineBytes-1)
-	for _, w := range c.writeQ {
-		if w.Addr == lineAddr {
-			return nil // coalesced
-		}
-	}
-	if !c.CanEnqueueWrite() {
-		return ErrQueueFull
-	}
-	c.nextID++
-	_, loc := c.mapper.Map(lineAddr)
-	req := &Request{ID: c.nextID, Addr: lineAddr, Write: true, Arrival: now, loc: loc}
-	c.writeQ = append(c.writeQ, req)
-	c.WritesEnqueued++
-	c.noteEnqueued(req, dram.CmdWR, now)
-	return nil
+	hit, head := c.bankCands(q, b, now)
+	c.quietUntil = min(c.quietUntil, hit.t, head.t)
 }
 
 // Idle reports whether all queues and in-flight activity are drained.
 func (c *Controller) Idle() bool {
-	return len(c.readQ) == 0 && len(c.writeQ) == 0 && c.pending.Len() == 0
+	return c.readQ.n == 0 && c.writeQ.n == 0 && c.pending.Len() == 0
 }
 
 // ReadsIdle reports whether all reads have completed and been delivered;
@@ -218,23 +278,23 @@ func (c *Controller) Idle() bool {
 // pressure across skipped spans instead of flushing the queue and
 // re-synchronizing drain bursts with its measurement windows.
 func (c *Controller) ReadsIdle() bool {
-	return len(c.readQ) == 0 && c.pending.Len() == 0
+	return c.readQ.n == 0 && c.pending.Len() == 0
 }
 
 // Tick advances the controller by one memory cycle: it returns reads whose
 // data completed at or before now, then issues at most one DRAM command.
 // The returned slice is only valid until the next Tick call.
 // In event-driven mode the scheduler scan is skipped during proven-quiet
-// spans: after a cycle in which nothing could issue, Tick computes the
-// earliest cycle at which anything could (quietUntil) and returns
-// immediately until the clock or an invalidating mutation (enqueue, issued
-// command) catches up. The scan itself — not the ticking — dominates
-// simulation cost, so this is where event-driven advance actually wins.
+// spans: after a cycle in which nothing could issue, Tick keeps the
+// earliest cycle at which anything could (quietUntil) — the minimum the
+// no-op scan itself computed — and returns immediately until the clock or
+// an invalidating mutation (enqueue, issued command) catches up. The scan
+// itself — not the ticking — dominates simulation cost, so this is where
+// event-driven advance actually wins.
 func (c *Controller) Tick(now int64) []Completion {
 	done := c.doneBuf[:0]
 	for c.pending.Len() > 0 && c.pending[0].Done <= now {
-		comp := heap.Pop(&c.pending).(Completion)
-		done = append(done, comp)
+		done = append(done, heap.Pop(&c.pending).(Completion))
 		// Completion pops never change issue legality, so quietUntil
 		// survives them.
 	}
@@ -242,22 +302,29 @@ func (c *Controller) Tick(now int64) []Completion {
 	if c.eventDriven && !c.quietDirty && c.quietUntil > now {
 		return done
 	}
-	if c.issueOne(now) {
-		if c.eventDriven && c.lastIssueTick != now-1 {
-			// Isolated command in sparse traffic: prove the gap right away,
-			// saving the next-cycle wake and its no-op scan.
-			c.quietUntil = c.issueBound(now)
-			c.quietDirty = false
-		} else {
-			// Mid-burst: commands issue nearly every cycle, so assume more
-			// work next cycle rather than paying a bound computation per
-			// command. The first no-op scan after the burst buys the bound.
-			c.quietDirty = true
-		}
-		c.lastIssueTick = now
-	} else if c.eventDriven {
-		c.quietUntil = c.issueBound(now)
+	issued, next := c.issueOne(now)
+	switch {
+	case !c.eventDriven:
+	case !issued:
+		c.quietUntil = c.quietBound(now, next)
 		c.quietDirty = false
+	case c.lastIssueTick != now-1 && c.readQ.n+c.writeQ.n <= sparseQueued:
+		// Isolated command in sparse traffic: prove the gap right away,
+		// saving the next-cycle wake and its no-op scan. With more
+		// requests queued this probe scans every busy bank and mostly
+		// finds work the next cycle anyway, so it is skipped.
+		_, nr := c.scan(&c.readQ, now+1)
+		_, nw := c.scan(&c.writeQ, now+1)
+		c.quietUntil = c.quietBound(now, min(nr, nw))
+		c.quietDirty = false
+	default:
+		// Mid-burst: commands issue nearly every cycle, so assume more
+		// work next cycle rather than paying a bound computation per
+		// command. The first no-op scan after the burst buys the bound.
+		c.quietDirty = true
+	}
+	if issued {
+		c.lastIssueTick = now
 	}
 	return done
 }
@@ -275,264 +342,191 @@ func (c *Controller) SetEventDriven(v bool) { c.eventDriven = v }
 // skip it. O(1): when the issue-side state is dirty the answer is simply
 // "next cycle", and Tick will either do the work or pay for the proof.
 func (c *Controller) NextEvent(now int64) int64 {
-	next := int64(1) << 62
-	if c.pending.Len() > 0 {
-		next = c.pending[0].Done
-	}
+	next := c.quietUntil
 	if c.quietDirty {
-		if now+1 < next {
-			next = now + 1
-		}
-	} else if c.quietUntil < next {
-		next = c.quietUntil
-	}
-	if next <= now {
 		next = now + 1
 	}
-	return next
+	if c.pending.Len() > 0 {
+		next = min(next, c.pending[0].Done)
+	}
+	return max(next, now+1)
 }
 
-// issueBound returns the earliest cycle strictly after now at which
-// issueOne could act: a pending write-drain toggle, the next refresh
-// deadline (or the next step of an in-progress refresh sequence), or a
-// queued request becoming issuable.
-func (c *Controller) issueBound(now int64) int64 {
+// quietBound returns the earliest cycle strictly after now at which
+// issueOne could act, given next, the earliest cycle any queue candidate
+// could issue: a pending write-drain toggle, the next refresh deadline (or
+// the next step of an in-progress refresh sequence), or next itself.
+func (c *Controller) quietBound(now, next int64) int64 {
 	// A watermark crossing whose toggle has not run yet is genuine
 	// next-cycle work. issueOne evaluates the hysteresis before it
 	// schedules, so the command it just issued can itself cross the low
 	// watermark and leave a toggle pending; deferring that toggle to the
 	// next wake would let an interleaved enqueue change the decision and
 	// diverge from the cycle-accurate reference.
-	if (!c.draining && len(c.writeQ) >= c.drainHigh) || (c.draining && len(c.writeQ) <= c.drainLow) {
+	if (!c.draining && c.writeQ.n >= c.drainHigh) || (c.draining && c.writeQ.n <= c.drainLow) {
 		return now + 1
 	}
-	next := int64(1) << 62
 	for r := 0; r < c.cfg.Ranks; r++ {
+		t := c.ch.NextRefresh(r)
 		if c.ch.RefreshDue(r, now+1) {
-			if t := c.nextRefreshStep(r, now); t < next {
-				next = t
-			}
-			continue
+			// Without this term an in-progress refresh sequence (tens of
+			// cycles waiting on tRAS/tRP) would collapse the bound to
+			// now+1 and force a scan every cycle of the wait.
+			_, _, t = c.refreshStep(r, now+1)
 		}
-		if nr := c.ch.NextRefresh(r); nr < next {
-			next = nr
-		}
+		next = min(next, t)
 	}
-	for _, req := range c.readQ {
-		t := c.nextIssuable(req, dram.CmdRD, now)
-		if t <= now+1 {
-			return now + 1
-		}
-		if t < next {
-			next = t
-		}
-	}
-	for _, req := range c.writeQ {
-		t := c.nextIssuable(req, dram.CmdWR, now)
-		if t <= now+1 {
-			return now + 1
-		}
-		if t < next {
-			next = t
-		}
-	}
-	if next <= now {
-		next = now + 1
-	}
-	return next
+	return max(next, now+1)
 }
 
-// nextRefreshStep lower-bounds the cycle at which tryRefresh could issue
-// its next command for a rank whose refresh deadline has passed: the
-// earliest PRE closing any still-open bank, or — once all banks are
-// precharged — the REF itself. Without this bound an in-progress refresh
-// sequence (tens of cycles waiting on tRAS/tRP) would collapse the
-// controller's next event to now+1 and force a full scheduler scan every
-// cycle of the wait.
-func (c *Controller) nextRefreshStep(r int, now int64) int64 {
-	next := int64(1) << 62
-	anyOpen := false
+// refreshStep returns the next command of rank r's refresh sequence — PRE
+// to the first open bank whose precharge is ready soonest, or REF once all
+// banks are precharged — its target, and the earliest cycle >= at it may
+// issue.
+func (c *Controller) refreshStep(r int, at int64) (dram.Command, dram.Loc, int64) {
+	cmd, loc, t := dram.CmdREF, dram.Loc{Rank: r}, never
 	for bg := 0; bg < c.cfg.BankGroups; bg++ {
 		for b := 0; b < c.cfg.BanksPerGroup(); b++ {
-			loc := dram.Loc{Rank: r, BankGroup: bg, Bank: b}
-			if _, open := c.ch.OpenRow(loc); open {
-				anyOpen = true
-				if t := c.ch.EarliestIssue(dram.CmdPRE, loc, now+1); t < next {
-					next = t
+			l := dram.Loc{Rank: r, BankGroup: bg, Bank: b}
+			if _, open := c.ch.OpenRow(l); open {
+				if e := c.ch.EarliestIssue(dram.CmdPRE, l, at); e < t {
+					cmd, loc, t = dram.CmdPRE, l, e
 				}
 			}
 		}
 	}
-	if anyOpen {
-		return next
+	if cmd == dram.CmdREF { // all precharged: no caller-must-precharge sentinel
+		t = c.ch.EarliestIssue(dram.CmdREF, loc, at)
 	}
-	// No open rows: EarliestIssue(REF) cannot return its caller-must-
-	// precharge sentinel here.
-	return c.ch.EarliestIssue(dram.CmdREF, dram.Loc{Rank: r}, now+1)
-}
-
-// nextIssuable lower-bounds the cycle at which the request's next command
-// (column on a row hit, PRE on a conflict, ACT on a closed bank) could
-// legally issue, assuming no other command issues first — which holds
-// whenever the caller takes the minimum across all queued requests.
-func (c *Controller) nextIssuable(req *Request, col dram.Command, now int64) int64 {
-	row, open := c.ch.OpenRow(req.loc)
-	switch {
-	case open && row == req.loc.Row:
-		return c.ch.EarliestIssue(col, req.loc, now+1)
-	case open:
-		return c.ch.EarliestIssue(dram.CmdPRE, req.loc, now+1)
-	default:
-		return c.ch.EarliestIssue(dram.CmdACT, req.loc, now+1)
-	}
+	return cmd, loc, t
 }
 
 // issueOne implements FR-FCFS with refresh priority and write draining.
-// It reports whether a DRAM command was issued this cycle.
-func (c *Controller) issueOne(now int64) bool {
+// It reports whether a DRAM command was issued this cycle and, if none
+// was, the earliest cycle at which any queue candidate could issue.
+func (c *Controller) issueOne(now int64) (bool, int64) {
 	// Refresh has highest priority: close banks and refresh due ranks.
-	refreshBlocked := make(map[int]bool, c.cfg.Ranks)
+	// A due rank stays blocked to the queues until its REF issues.
 	for r := 0; r < c.cfg.Ranks; r++ {
 		if !c.ch.RefreshDue(r, now) {
 			continue
 		}
-		refreshBlocked[r] = true
-		if c.tryRefresh(r, now) {
-			return true
+		if cmd, loc, t := c.refreshStep(r, now); t == now {
+			c.ch.Issue(cmd, loc, now)
+			c.touch()
+			return true, now
 		}
 	}
 
 	// Write-drain mode hysteresis.
-	if !c.draining && len(c.writeQ) >= c.drainHigh {
+	if !c.draining && c.writeQ.n >= c.drainHigh {
 		c.draining = true
 		c.DrainEpisodes++
 		c.touch()
 	}
-	if c.draining && len(c.writeQ) <= c.drainLow {
+	if c.draining && c.writeQ.n <= c.drainLow {
 		c.draining = false
 		c.touch()
 	}
 
-	primary, secondary := c.readQ, c.writeQ
-	primaryIsWrite := false
-	if c.draining || len(c.readQ) == 0 {
-		primary, secondary = c.writeQ, c.readQ
-		primaryIsWrite = true
+	primary, secondary := &c.readQ, &c.writeQ
+	if c.draining || c.readQ.n == 0 {
+		primary, secondary = secondary, primary
 	}
-	if c.scheduleFrom(primary, primaryIsWrite, refreshBlocked, now) {
-		return true
+	next := never
+	for _, q := range [2]*queue{primary, secondary} {
+		p, t := c.scan(q, now)
+		if p.cmd != 0 {
+			c.issue(q, p, now)
+			return true, now
+		}
+		next = min(next, t)
 	}
-	return c.scheduleFrom(secondary, !primaryIsWrite, refreshBlocked, now)
+	return false, next
 }
 
-// tryRefresh makes progress toward refreshing rank r; returns true if a
-// command was issued this cycle.
-func (c *Controller) tryRefresh(r int, now int64) bool {
-	anyOpen := false
-	for bg := 0; bg < c.cfg.BankGroups; bg++ {
-		for b := 0; b < c.cfg.BanksPerGroup(); b++ {
-			loc := dram.Loc{Rank: r, BankGroup: bg, Bank: b}
-			if _, open := c.ch.OpenRow(loc); open {
-				anyOpen = true
-				if c.ch.CanIssue(dram.CmdPRE, loc, now) {
-					c.ch.Issue(dram.CmdPRE, loc, now)
-					c.touch()
-					return true
+// cand is one FR-FCFS candidate: a queued request (bank list b, index
+// idx), the command it needs next, and the earliest cycle it may issue.
+// A zero cmd means no candidate, with t = never.
+type cand struct {
+	cmd    dram.Command
+	b, idx int
+	t      int64
+}
+
+// bankCands evaluates bank b's two FR-FCFS candidates in q at cycle at:
+// its oldest row hit, and its oldest request when that is not a hit.
+func (c *Controller) bankCands(q *queue, b int, at int64) (hit, head cand) {
+	reqs := q.banks[b]
+	hit, head = cand{t: never}, cand{t: never}
+	row, open := c.ch.OpenRow(reqs[0].loc)
+	if !open {
+		head = cand{dram.CmdACT, b, 0, c.ch.EarliestIssue(dram.CmdACT, reqs[0].loc, at)}
+		return hit, head
+	}
+	for i := range reqs {
+		if reqs[i].loc.Row == row {
+			hit = cand{q.col, b, i, c.ch.EarliestIssue(q.col, reqs[i].loc, at)}
+			break
+		}
+	}
+	if hit.cmd == 0 || hit.idx > 0 {
+		head = cand{dram.CmdPRE, b, 0, c.ch.EarliestIssue(dram.CmdPRE, reqs[0].loc, at)}
+	}
+	return hit, head
+}
+
+// scan applies FR-FCFS to one queue at cycle at, skipping ranks with
+// refresh due: it returns the oldest row hit ready at at, else the oldest
+// ready PRE/ACT (zero cmd if none), and the earliest cycle at which any
+// candidate could issue.
+func (c *Controller) scan(q *queue, at int64) (pick cand, next int64) {
+	var best [2]cand // row-hit winner, PRE/ACT winner
+	var bestID [2]uint64
+	next = never
+	for w, word := range q.busy {
+		for ; word != 0; word &= word - 1 {
+			b := w<<6 | bits.TrailingZeros64(word)
+			if c.ch.RefreshDue(q.banks[b][0].loc.Rank, at) {
+				continue
+			}
+			hit, head := c.bankCands(q, b, at)
+			for k, cd := range [2]cand{hit, head} {
+				next = min(next, cd.t)
+				if cd.t != at {
+					continue
+				}
+				if id := q.banks[b][cd.idx].ID; best[k].cmd == 0 || id < bestID[k] {
+					best[k], bestID[k] = cd, id
 				}
 			}
 		}
 	}
-	if anyOpen {
-		return false // waiting on tRAS etc.
+	if best[0].cmd != 0 {
+		return best[0], next
 	}
-	loc := dram.Loc{Rank: r}
-	if c.ch.CanIssue(dram.CmdREF, loc, now) {
-		c.ch.Issue(dram.CmdREF, loc, now)
-		c.touch()
-		return true
-	}
-	return false
+	return best[1], next
 }
 
-// scheduleFrom applies FR-FCFS to one queue. Pass 1 issues the first
-// (oldest) row-hit column command that is ready; pass 2 lets the oldest
-// request make any progress (PRE on conflict, ACT on closed bank).
-func (c *Controller) scheduleFrom(q []*Request, isWrite bool, blocked map[int]bool, now int64) bool {
-	col := dram.CmdRD
-	if isWrite {
-		col = dram.CmdWR
-	}
-	// Pass 1: row hits, oldest first.
-	for i, req := range q {
-		if blocked[req.loc.Rank] {
-			continue
-		}
-		row, open := c.ch.OpenRow(req.loc)
-		if open && row == req.loc.Row && c.ch.CanIssue(col, req.loc, now) {
-			c.issueColumn(req, col, i, isWrite, now, true)
-			return true
-		}
-	}
-	// Pass 2: progress for the oldest schedulable request.
-	for i, req := range q {
-		if blocked[req.loc.Rank] {
-			continue
-		}
-		row, open := c.ch.OpenRow(req.loc)
-		switch {
-		case open && row == req.loc.Row:
-			// Column timing not ready; nothing to issue for this request,
-			// but younger requests may still proceed.
-			continue
-		case open:
-			// Do not close a row an older request still needs; issuing PRE
-			// here would livelock two conflicting requests against each
-			// other (each re-closing the other's row).
-			if olderWantsRow(q[:i], req.loc, row) {
-				continue
-			}
-			if c.ch.CanIssue(dram.CmdPRE, req.loc, now) {
-				c.ch.Issue(dram.CmdPRE, req.loc, now)
-				c.ch.RecordRowOutcome(false, true)
-				c.touch()
-				return true
-			}
-		default:
-			if c.ch.CanIssue(dram.CmdACT, req.loc, now) {
-				c.ch.Issue(dram.CmdACT, req.loc, now)
-				c.ch.RecordRowOutcome(false, false)
-				c.touch()
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// olderWantsRow reports whether any request in older targets the given
-// bank's currently open row.
-func olderWantsRow(older []*Request, loc dram.Loc, openRow uint32) bool {
-	for _, r := range older {
-		if r.loc.Rank == loc.Rank && r.loc.BankGroup == loc.BankGroup &&
-			r.loc.Bank == loc.Bank && r.loc.Row == openRow {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Controller) issueColumn(req *Request, col dram.Command, idx int, isWrite bool, now int64, rowHit bool) {
+// issue issues candidate p from q at cycle now.
+func (c *Controller) issue(q *queue, p cand, now int64) {
 	c.touch()
-	done := c.ch.Issue(col, req.loc, now)
-	if rowHit {
-		c.ch.RecordRowOutcome(true, false)
+	req := q.banks[p.b][p.idx]
+	done := c.ch.Issue(p.cmd, req.loc, now)
+	switch p.cmd {
+	case dram.CmdPRE:
+		c.ch.RecordRowOutcome(false, true)
+		return
+	case dram.CmdACT:
+		c.ch.RecordRowOutcome(false, false)
+		return
 	}
-	if isWrite {
-		c.writeQ = append(c.writeQ[:idx], c.writeQ[idx+1:]...)
+	c.ch.RecordRowOutcome(true, false)
+	q.remove(p.b, p.idx)
+	if req.Write {
 		c.WritesCompleted++
 		return
 	}
-	c.readQ = append(c.readQ[:idx], c.readQ[idx+1:]...)
 	c.ReadsCompleted++
 	c.ReadLatencySum += uint64(done - req.Arrival)
 	heap.Push(&c.pending, Completion{ID: req.ID, Addr: req.Addr, Done: done})
@@ -549,7 +543,7 @@ func (c *Controller) AvgReadLatency() float64 {
 // String summarizes controller state for debugging.
 func (c *Controller) String() string {
 	return fmt.Sprintf("memctrl{rq=%d wq=%d inflight=%d drain=%v}",
-		len(c.readQ), len(c.writeQ), c.pending.Len(), c.draining)
+		c.readQ.n, c.writeQ.n, c.pending.Len(), c.draining)
 }
 
 // completionHeap is a min-heap on Done cycle.
@@ -570,17 +564,23 @@ func (h *completionHeap) Pop() interface{} {
 // Draining reports whether the controller is currently in write-drain mode.
 func (c *Controller) Draining() bool { return c.draining }
 
-// DebugState renders the controller's full scheduling-relevant state.
+// DebugState renders the controller's full scheduling-relevant state, with
+// each queue's requests in arrival order.
 // Opt-in debugging aid: when the simulator's per-cycle identity test finds
 // a divergence, add this to its state signature to see queue contents and
 // bank timing at the first bad cycle.
 func (c *Controller) DebugState() string {
-	s := fmt.Sprintf("drain=%v q=[", c.draining)
-	for _, r := range c.readQ {
-		s += fmt.Sprintf("R%d@%v ", r.ID, r.loc)
+	var s strings.Builder
+	fmt.Fprintf(&s, "drain=%v q=[", c.draining)
+	for _, q := range []*queue{&c.readQ, &c.writeQ} {
+		var reqs []Request
+		for _, l := range q.banks {
+			reqs = append(reqs, l...)
+		}
+		sort.Slice(reqs, func(i, j int) bool { return reqs[i].ID < reqs[j].ID })
+		for _, r := range reqs {
+			fmt.Fprintf(&s, "%s%d@%v ", q.col.String()[:1], r.ID, r.loc)
+		}
 	}
-	for _, w := range c.writeQ {
-		s += fmt.Sprintf("W%d@%v ", w.ID, w.loc)
-	}
-	return s + "] ch=" + c.ch.DebugState()
+	return s.String() + "] ch=" + c.ch.DebugState()
 }

@@ -103,13 +103,22 @@ type Store struct {
 
 	compacting  bool
 	compactDone chan struct{} // non-nil while compacting; closed at end
-	closed      bool
+	// rearm records a garbage trigger that arrived while a pass was
+	// running (typically a segment sealed mid-pass, which the pass had
+	// already listed past); finishCompaction starts the next pass for it.
+	rearm  bool
+	closed bool
 
 	// lastWriteErr is the sticky outcome of the most recent append: set on
 	// a failed Record, cleared by the next successful one. Health serves it
 	// to readiness probes so a server whose disk went away reports degraded
 	// instead of silently failing every sweep.
 	lastWriteErr error
+	// compactErr is the sticky outcome of the most recent compaction
+	// pass, background or not: set when one fails, cleared by the next
+	// that succeeds. Health serves it too, so a failing background pass
+	// is visible rather than swallowed.
+	compactErr error
 }
 
 // segInfo is this store's view of one segment it does not own.
@@ -257,16 +266,19 @@ func (s *Store) Record(digest string, res sim.Result) error {
 }
 
 // Health reports the store's writability for readiness probes: nil while
-// the store is open and its most recent append succeeded, otherwise the
-// sticky error from the failed write (or the closed state). A store that
-// has never recorded anything is healthy.
+// the store is open and its most recent append and compaction pass
+// succeeded, otherwise the sticky error from the failed write or pass (or
+// the closed state). A store that has never recorded anything is healthy.
 func (s *Store) Health() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("resultstore: store is closed")
 	}
-	return s.lastWriteErr
+	if s.lastWriteErr != nil {
+		return s.lastWriteErr
+	}
+	return s.compactErr
 }
 
 // rotateLocked seals the own segment (releasing its flock, so compaction
@@ -416,25 +428,40 @@ func segmentNames(dir string) ([]string, error) {
 }
 
 // maybeCompactLocked starts a background compaction when garbage crosses
-// the threshold. At most one compaction runs per store at a time.
+// the threshold. At most one compaction runs per store at a time; a
+// trigger during a pass re-arms it to run once the pass finishes.
 func (s *Store) maybeCompactLocked() {
-	if s.opt.NoAutoCompact || s.compacting || s.garbageLocked() < s.opt.CompactGarbageBytes {
+	if s.opt.NoAutoCompact || s.garbageLocked() < s.opt.CompactGarbageBytes {
+		return
+	}
+	if s.compacting {
+		s.rearm = true
 		return
 	}
 	done := make(chan struct{})
 	s.compacting, s.compactDone = true, done
 	go func() {
-		s.compact()
-		s.finishCompaction(done)
+		s.finishCompaction(done, s.compact())
 	}()
 }
 
-// finishCompaction clears the compacting flag and wakes the waiters.
+// finishCompaction clears the compacting flag, latches the pass's
+// outcome, starts the re-armed pass if one was requested (so garbage
+// sealed mid-pass does not wait for a later Record), and wakes the
+// waiters, which see the new pass under the lock and keep waiting.
 // (A plain channel, not a WaitGroup: re-arming a WaitGroup from zero
 // while a waiter is mid-Wait is documented misuse and can panic.)
-func (s *Store) finishCompaction(done chan struct{}) {
+func (s *Store) finishCompaction(done chan struct{}, err error) {
 	s.mu.Lock()
 	s.compacting, s.compactDone = false, nil
+	s.compactErr = nil
+	if err != nil {
+		s.compactErr = fmt.Errorf("resultstore: compaction failed: %w", err)
+	}
+	if s.rearm && !s.closed {
+		s.rearm = false
+		s.maybeCompactLocked()
+	}
 	s.mu.Unlock()
 	close(done)
 }
@@ -461,7 +488,7 @@ func (s *Store) Compact() error {
 	s.compacting, s.compactDone = true, done
 	s.mu.Unlock()
 	err := s.compact()
-	s.finishCompaction(done)
+	s.finishCompaction(done, err)
 	return err
 }
 

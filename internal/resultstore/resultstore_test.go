@@ -233,6 +233,35 @@ func TestCompactionMergesSealedSegments(t *testing.T) {
 	}
 }
 
+// TestCompactionErrorLatchesHealth: a failed compaction pass is reported
+// by Health until a later pass succeeds, instead of being dropped.
+func TestCompactionErrorLatchesHealth(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	s := mustOpen(t, dir, Options{NoAutoCompact: true})
+	if err := s.Record(digest(1), fakeResult(1)); err != nil {
+		t.Fatal(err)
+	}
+	// With the directory moved away the pass cannot list its segments.
+	if err := os.Rename(dir, dir+".moved"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err == nil {
+		t.Fatal("compaction of a missing directory succeeded")
+	}
+	if err := s.Health(); err == nil || !strings.Contains(err.Error(), "compaction failed") {
+		t.Fatalf("Health after a failed pass = %v", err)
+	}
+	if err := os.Rename(dir+".moved", dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Health(); err != nil {
+		t.Fatalf("Health still %v after a successful pass", err)
+	}
+}
+
 // TestAutoCompactionTriggers drives garbage past a tiny threshold and
 // expects the background pass to shrink the sealed segments.
 func TestAutoCompactionTriggers(t *testing.T) {
