@@ -249,6 +249,26 @@ func (d DRAM) Validate() error {
 	case d.Rows() <= 0:
 		return errors.New("config: capacity too small for organization")
 	}
+	return d.Timing.validate()
+}
+
+// validate checks the orderings the DRAM model's per-level timing state
+// relies on (see package dram): a same-bank-group timing is at least its
+// different-group counterpart, and a bank's own ACT-to-ACT cycle (tRAS +
+// tRP) is at least tRRD_L. JEDEC DDR4 and DDR5 timings satisfy both, and
+// Scale preserves them.
+func (t DRAMTiming) validate() error {
+	for _, p := range []struct {
+		name        string
+		long, short int
+	}{{"tCCD", t.TCCDL, t.TCCDS}, {"tWTR", t.TWTRL, t.TWTRS}, {"tRRD", t.TRRDL, t.TRRDS}} {
+		if p.long < p.short {
+			return fmt.Errorf("config: %s_L %d below %s_S %d", p.name, p.long, p.name, p.short)
+		}
+	}
+	if t.TRAS+t.TRP < t.TRRDL {
+		return fmt.Errorf("config: tRAS %d + tRP %d below tRRD_L %d", t.TRAS, t.TRP, t.TRRDL)
+	}
 	return nil
 }
 

@@ -176,6 +176,42 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	}
 }
 
+// TestValidateTimingOrderings checks that DRAM validation rejects timings
+// the per-level DRAM timing state cannot model exactly, and accepts the
+// Table I and DDR5 presets at their own and scaled clocks.
+func TestValidateTimingOrderings(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*DRAMTiming)
+		ok   bool
+	}{
+		{"preset", func(*DRAMTiming) {}, true},
+		{"tCCD_L=tCCD_S", func(tm *DRAMTiming) { tm.TCCDL = tm.TCCDS }, true},
+		{"tCCD_L<tCCD_S", func(tm *DRAMTiming) { tm.TCCDL = tm.TCCDS - 1 }, false},
+		{"tWTR_L<tWTR_S", func(tm *DRAMTiming) { tm.TWTRL = tm.TWTRS - 1 }, false},
+		{"tRRD_L<tRRD_S", func(tm *DRAMTiming) { tm.TRRDL = tm.TRRDS - 1 }, false},
+		{"tRAS+tRP=tRRD_L", func(tm *DRAMTiming) { tm.TRRDL = tm.TRAS + tm.TRP }, true},
+		{"tRAS+tRP<tRRD_L", func(tm *DRAMTiming) { tm.TRRDL = tm.TRAS + tm.TRP + 1 }, false},
+	} {
+		for _, base := range []DRAM{Table1(ModeSecDDRCTR).DRAM, Table1DDR5(ModeSecDDRCTR).DRAM} {
+			d := base
+			tc.edit(&d.Timing)
+			if err := d.Validate(); (err == nil) != tc.ok {
+				t.Errorf("%s at %d MHz: Validate() = %v, want ok=%v", tc.name, d.ClockMHz, err, tc.ok)
+			}
+		}
+	}
+	for _, base := range []DRAM{Table1(ModeSecDDRCTR).DRAM, Table1DDR5(ModeSecDDRCTR).DRAM} {
+		for _, mhz := range []int{800, 1200, 1333, 2400, 3200} {
+			d := base
+			d.Timing = d.Timing.Scale(d.ClockMHz, mhz)
+			if err := d.Validate(); err != nil {
+				t.Errorf("%d MHz preset scaled to %d MHz: %v", base.ClockMHz, mhz, err)
+			}
+		}
+	}
+}
+
 func TestDDR5Preset(t *testing.T) {
 	cfg := Table1DDR5(ModeSecDDRXTS)
 	if err := cfg.Validate(); err != nil {

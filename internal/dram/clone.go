@@ -1,25 +1,33 @@
 package dram
 
 // Clone returns a deep copy of the channel: configuration, per-bank row
-// and timing state, rank refresh/tFAW state, bus occupancy, and statistics.
+// and timing state, bank-group and rank horizons, rank refresh/tFAW state,
+// bus occupancy, and statistics.
 func (c *Channel) Clone() *Channel {
 	n := new(Channel)
 	*n = *c
-	n.rank = cloneRanks(c.rank)
+	n.banks = append([]bankState(nil), c.banks...)
+	n.groups = append([]groupState(nil), c.groups...)
+	n.rank = append([]rankState(nil), c.rank...)
 	n.bankCols = append([]uint64(nil), c.bankCols...)
 	return n
 }
 
 // AdoptState grafts src's dynamic DRAM state — per-bank open rows and
-// command-timing horizons, rank refresh and tFAW activation windows, data
-// bus occupancy, and the statistics counters — onto c, which keeps its own
-// configuration and derived burst lengths. Every timing horizon is an
-// absolute memory-clock cycle, so the grafted state stays valid under a
-// configuration that differs only in fields outside the channel geometry
-// (the write burst length, for eWCRC modes). The two channels must have
+// command-timing horizons, the bank-group, rank and channel horizons, rank
+// refresh and tFAW activation windows, data bus occupancy, and the
+// statistics counters — onto c, which keeps its own configuration and
+// derived burst lengths. Every timing horizon is an absolute memory-clock
+// cycle, so the grafted state stays valid under a configuration that
+// differs only in fields outside the channel geometry (the write burst
+// length, for eWCRC modes). The two channels must have
 // identical organization: same ranks, bank groups, and banks per group.
 func (c *Channel) AdoptState(src *Channel) {
-	c.rank = cloneRanks(src.rank)
+	c.banks = append([]bankState(nil), src.banks...)
+	c.groups = append([]groupState(nil), src.groups...)
+	c.rank = append([]rankState(nil), src.rank...)
+	c.nextCol = src.nextCol
+	c.nextWR = src.nextWR
 	c.dataBusFreeAt = src.dataBusFreeAt
 	c.lastBurstRank = src.lastBurstRank
 	c.lastCmdCycle = src.lastCmdCycle
@@ -34,15 +42,6 @@ func (c *Channel) AdoptState(src *Channel) {
 	c.DataBusBusyCycles = src.DataBusBusyCycles
 	c.RefreshShadowCycles = src.RefreshShadowCycles
 	c.bankCols = append([]uint64(nil), src.bankCols...)
-}
-
-func cloneRanks(src []rankState) []rankState {
-	out := make([]rankState, len(src))
-	copy(out, src)
-	for i := range out {
-		out[i].banks = append([]bankState(nil), src[i].banks...)
-	}
-	return out
 }
 
 // Clone returns a copy of the mapper. Mappers are pure bit-slicing values;

@@ -9,6 +9,27 @@
 // controller decides which command to issue each memory-clock cycle; the
 // channel tracks legality and earliest-issue times and reports data
 // completion cycles.
+//
+// Timing state lives at the level each constraint belongs to, as in
+// Ramulator and DRAMSim3, so Issue is O(1) for ACT, PRE, RD and WR:
+//
+//   - bank: the open row, and what a command to that bank sets for its next
+//     ACT (tRP), PRE (tRAS, tRTP, tWR) and column command (tRCD);
+//   - (rank, bank group): tCCD_L, tWTR_L and tRRD_L;
+//   - rank: tRRD_S, tWTR_S, the tFAW window and refresh;
+//   - channel: tCCD_S, the read-to-write turnaround, the data bus and the
+//     command bus.
+//
+// EarliestIssue is the max of the bank-local value (LocalReady) and the
+// shared horizons above it; Horizons fills the shared part for every bank
+// group in one call, so a scheduler can cache the bank-local values, which
+// change only when their bank is commanded. The split equals per-bank
+// bookkeeping under two orderings, which config.DRAM.Validate enforces. A
+// bank in the commanded group gets both the _L and the _S value, which is
+// the _L gap only when each _L timing is at least its _S counterpart (tCCD,
+// tWTR, tRRD). An ACT's tRRD also binds its own bank, which is harmless
+// only when that bank cannot activate again sooner anyway: tRAS + tRP >=
+// tRRD_L.
 package dram
 
 import (
@@ -57,35 +78,47 @@ type Loc struct {
 	Col       uint32 // column in units of cache lines
 }
 
-// bankState tracks one bank's open row and earliest-issue cycles.
+// bankState is what commands to one bank set: its open row and the
+// bank-local part of its next ACT, PRE and column command.
 type bankState struct {
 	openRow int64 // -1 when closed
-	nextACT int64
-	nextPRE int64
-	nextRD  int64
-	nextWR  int64
+	nextACT int64 // tRP after a PRE
+	nextPRE int64 // tRAS after an ACT, tRTP after a RD, tWR after WR data
+	nextCol int64 // tRCD after an ACT
 }
 
-// rankState tracks rank-wide constraints (tFAW, refresh).
+// groupState holds what a command sets for every bank of its (rank, bank
+// group).
+type groupState struct {
+	nextACT int64 // tRRD_L after an ACT
+	nextCol int64 // tCCD_L after a column command
+	nextRD  int64 // tWTR_L after write data
+}
+
+// rankState tracks rank-wide constraints (tRRD_S, tWTR_S, tFAW, refresh).
 type rankState struct {
-	banks      []bankState // indexed by bankGroup*banksPerGroup + bank
-	actWindow  [4]int64    // cycle times of the last four ACTs (tFAW)
-	actIdx     int
-	nextREF    int64 // next refresh deadline
-	refBusy    int64 // rank unusable until this cycle due to refresh
-	pendingREF bool
+	nextACT   int64    // tRRD_S after an ACT
+	nextRD    int64    // tWTR_S after write data
+	actWindow [4]int64 // cycle times of the last four ACTs (tFAW)
+	actIdx    int
+	nextREF   int64 // next refresh deadline
+	refBusy   int64 // rank unusable until this cycle due to refresh
 }
 
 // Channel is one DDR channel: ranks sharing a command bus and a data bus.
 type Channel struct {
-	cfg  config.DRAM
-	t    config.DRAMTiming
-	rank []rankState
+	cfg    config.DRAM
+	t      config.DRAMTiming
+	banks  []bankState  // flat: rank*Banks + bankGroup*banksPerGroup + bank
+	groups []groupState // flat: rank*BankGroups + bankGroup
+	rank   []rankState
 
 	banksPerGroup int
 	readBL        int64 // data-bus beats/2 (memory-clock cycles) per read burst
 	writeBL       int64
 
+	nextCol       int64 // tCCD_S after a column command
+	nextWR        int64 // read-to-write turnaround after a RD
 	dataBusFreeAt int64
 	lastBurstRank int
 	lastCmdCycle  int64 // command bus: one command per cycle
@@ -99,8 +132,8 @@ type Channel struct {
 	// different ranks may overlap in time, so this is rank-shadow work,
 	// not an exclusive-busy wall time.
 	RefreshShadowCycles uint64
-	// bankCols counts column commands (RD+WR) per bank, indexed
-	// rank*Banks + bankIdx — the profiler's bank-utilization histogram.
+	// bankCols counts column commands (RD+WR) per flat bank — the
+	// profiler's bank-utilization histogram.
 	bankCols []uint64
 }
 
@@ -119,13 +152,13 @@ func NewChannel(cfg config.DRAM) (*Channel, error) {
 		lastCmdCycle:  -1,
 	}
 	ch.bankCols = make([]uint64, cfg.Ranks*cfg.Banks)
+	ch.banks = make([]bankState, cfg.Ranks*cfg.Banks)
+	for b := range ch.banks {
+		ch.banks[b].openRow = -1
+	}
+	ch.groups = make([]groupState, cfg.Ranks*cfg.BankGroups)
 	ch.rank = make([]rankState, cfg.Ranks)
 	for r := range ch.rank {
-		banks := make([]bankState, cfg.Banks)
-		for b := range banks {
-			banks[b].openRow = -1
-		}
-		ch.rank[r].banks = banks
 		for i := range ch.rank[r].actWindow {
 			ch.rank[r].actWindow[i] = -1 << 40 // no ACT yet: tFAW inactive
 		}
@@ -142,10 +175,17 @@ func NewChannel(cfg config.DRAM) (*Channel, error) {
 // Config returns the channel's configuration.
 func (c *Channel) Config() config.DRAM { return c.cfg }
 
-func (c *Channel) bankIdx(loc Loc) int { return loc.BankGroup*c.banksPerGroup + loc.Bank }
+// flatBank returns loc's index into banks: rank*Banks +
+// bankGroup*banksPerGroup + bank.
+func (c *Channel) flatBank(loc Loc) int {
+	return loc.Rank*c.cfg.Banks + loc.BankGroup*c.banksPerGroup + loc.Bank
+}
 
-func (c *Channel) bank(loc Loc) *bankState {
-	return &c.rank[loc.Rank].banks[c.bankIdx(loc)]
+func (c *Channel) bank(loc Loc) *bankState { return &c.banks[c.flatBank(loc)] }
+
+// group returns the state of loc's (rank, bank group).
+func (c *Channel) group(loc Loc) *groupState {
+	return &c.groups[loc.Rank*c.cfg.BankGroups+loc.BankGroup]
 }
 
 // OpenRow returns the open row of the addressed bank and whether any row is
@@ -200,68 +240,113 @@ func (c *Channel) SkipRefreshTo(now int64) {
 }
 
 // EarliestIssue returns the earliest cycle >= now at which the command could
-// legally issue. It accounts for bank timing, rank constraints (tFAW,
-// refresh), the shared data bus for column commands, and the one-command-
-// per-cycle command bus.
+// legally issue. It accounts for bank timing, bank-group and rank
+// constraints (tCCD_L, tWTR, tRRD, tFAW, refresh), the shared data bus for
+// column commands, and the one-command-per-cycle command bus. For ACT, PRE,
+// RD and WR it is the max of LocalReady and the bank group's Horizons
+// entry.
 func (c *Channel) EarliestIssue(cmd Command, loc Loc, now int64) int64 {
-	rk := &c.rank[loc.Rank]
-	b := c.bank(loc)
-	earliest := now
-	if c.lastCmdCycle >= earliest {
-		earliest = c.lastCmdCycle + 1
-	}
-	if rk.refBusy > earliest {
-		earliest = rk.refBusy
-	}
-
-	switch cmd {
-	case CmdACT:
-		if b.nextACT > earliest {
-			earliest = b.nextACT
-		}
-		// tFAW: at most four ACTs per rank per window.
-		if oldest := rk.actWindow[rk.actIdx]; oldest+int64(c.t.TFAW) > earliest {
-			earliest = oldest + int64(c.t.TFAW)
-		}
-	case CmdPRE:
-		if b.nextPRE > earliest {
-			earliest = b.nextPRE
-		}
-	case CmdRD:
-		if b.nextRD > earliest {
-			earliest = b.nextRD
-		}
-		earliest = c.busConstrained(earliest, loc.Rank, int64(c.t.TCL), c.readBL)
-	case CmdWR:
-		if b.nextWR > earliest {
-			earliest = b.nextWR
-		}
-		earliest = c.busConstrained(earliest, loc.Rank, int64(c.t.TCWL), c.writeBL)
-	case CmdREF:
-		// All banks must be precharged and past their ACT->PRE windows.
-		for i := range rk.banks {
-			if rk.banks[i].openRow >= 0 {
+	if cmd == CmdREF {
+		// After the command bus and refresh, all banks must be precharged
+		// and past their PRE-to-ACT windows.
+		earliest := c.rankHorizon(CmdREF, loc.Rank, now)[HorizonPRE]
+		for _, b := range c.banks[loc.Rank*c.cfg.Banks : (loc.Rank+1)*c.cfg.Banks] {
+			if b.openRow >= 0 {
 				return -1 // caller must precharge first
 			}
-			if rk.banks[i].nextACT > earliest {
-				earliest = rk.banks[i].nextACT
-			}
+			earliest = max(earliest, b.nextACT)
 		}
+		return earliest
 	}
-	return earliest
+	h := c.rankHorizon(cmd, loc.Rank, now)
+	c.addGroup(&h, cmd, loc.Rank*c.cfg.BankGroups+loc.BankGroup)
+	k := HorizonCol
+	switch cmd {
+	case CmdACT:
+		k = HorizonACT
+	case CmdPRE:
+		k = HorizonPRE
+	}
+	return max(c.LocalReady(cmd, loc), h[k])
 }
 
-// busConstrained pushes a column command until its data burst fits on the
-// shared data bus, including the rank-to-rank switch gap.
-func (c *Channel) busConstrained(cmdCycle int64, rank int, lat, bl int64) int64 {
+// LocalReady returns the bank-local part of EarliestIssue for ACT, PRE, RD
+// or WR to loc: what commands to that bank alone impose. It changes only
+// when that bank is commanded.
+func (c *Channel) LocalReady(cmd Command, loc Loc) int64 {
+	b := c.bank(loc)
+	switch cmd {
+	case CmdACT:
+		return b.nextACT
+	case CmdPRE:
+		return b.nextPRE
+	}
+	return b.nextCol
+}
+
+// Horizon is the shared part of EarliestIssue for the banks of one bank
+// group at one cycle, indexed by HorizonCol (the column command it was
+// filled for), HorizonACT and HorizonPRE.
+type Horizon [3]int64
+
+// Horizon indices.
+const (
+	HorizonCol = iota
+	HorizonACT
+	HorizonPRE
+)
+
+// Horizons fills dst, indexed rank*BankGroups + bankGroup, with every bank
+// group's shared horizons at cycle at for ACT, PRE and column command col
+// (RD or WR). EarliestIssue of such a command to a bank is the max of its
+// LocalReady and its group's entry.
+func (c *Channel) Horizons(col Command, at int64, dst []Horizon) {
+	groups := c.cfg.BankGroups
+	for r := range c.rank {
+		h := c.rankHorizon(col, r, at)
+		for g := r * groups; g < (r+1)*groups; g++ {
+			dst[g] = h
+			c.addGroup(&dst[g], col, g)
+		}
+	}
+}
+
+// rankHorizon returns rank r's shared horizons at cycle at before the
+// bank-group terms: the command bus and refresh for every command, tRRD_S
+// and tFAW for ACT, and for column command col tCCD_S, tWTR_S (RD) or the
+// read-to-write turnaround (WR), and the data bus.
+func (c *Channel) rankHorizon(col Command, r int, at int64) Horizon {
+	rk := &c.rank[r]
+	base := max(at, c.lastCmdCycle+1, rk.refBusy)
+	h := Horizon{
+		HorizonCol: base,
+		HorizonACT: max(base, rk.nextACT, rk.actWindow[rk.actIdx]+int64(c.t.TFAW)),
+		HorizonPRE: base,
+	}
+	// A column command waits until its data burst fits on the shared data
+	// bus, including the rank-to-rank switch gap.
 	free := c.dataBusFreeAt
-	if c.lastBurstRank >= 0 && c.lastBurstRank != rank {
+	if c.lastBurstRank >= 0 && c.lastBurstRank != r {
 		free += int64(c.t.TRTRS)
 	}
-	if cmdCycle+lat < free {
-		cmdCycle = free - lat
+	switch col {
+	case CmdRD:
+		h[HorizonCol] = max(base, c.nextCol, rk.nextRD, free-int64(c.t.TCL))
+	case CmdWR:
+		h[HorizonCol] = max(base, c.nextCol, c.nextWR, free-int64(c.t.TCWL))
 	}
-	return cmdCycle
+	return h
+}
+
+// addGroup folds flat bank group g's tRRD_L, tCCD_L and, for RD, tWTR_L
+// horizons into h.
+func (c *Channel) addGroup(h *Horizon, col Command, g int) {
+	gs := &c.groups[g]
+	h[HorizonACT] = max(h[HorizonACT], gs.nextACT)
+	h[HorizonCol] = max(h[HorizonCol], gs.nextCol)
+	if col == CmdRD {
+		h[HorizonCol] = max(h[HorizonCol], gs.nextRD)
+	}
 }
 
 // CanIssue reports whether cmd may issue exactly at cycle now.
@@ -288,21 +373,12 @@ func (c *Channel) Issue(cmd Command, loc Loc, now int64) int64 {
 	case CmdACT:
 		c.NumACT++
 		b.openRow = int64(loc.Row)
-		b.nextRD = max64(b.nextRD, now+int64(c.t.TRCD))
-		b.nextWR = max64(b.nextWR, now+int64(c.t.TRCD))
-		b.nextPRE = max64(b.nextPRE, now+int64(c.t.TRAS))
+		b.nextCol = max(b.nextCol, now+int64(c.t.TRCD))
+		b.nextPRE = max(b.nextPRE, now+int64(c.t.TRAS))
 		// tRRD: ACT-to-ACT spacing within the rank.
-		for i := range rk.banks {
-			ob := &rk.banks[i]
-			if i == c.bankIdx(loc) {
-				continue
-			}
-			if i/c.banksPerGroup == loc.BankGroup {
-				ob.nextACT = max64(ob.nextACT, now+int64(c.t.TRRDL))
-			} else {
-				ob.nextACT = max64(ob.nextACT, now+int64(c.t.TRRDS))
-			}
-		}
+		rk.nextACT = max(rk.nextACT, now+int64(c.t.TRRDS))
+		g := c.group(loc)
+		g.nextACT = max(g.nextACT, now+int64(c.t.TRRDL))
 		rk.actWindow[rk.actIdx] = now
 		rk.actIdx = (rk.actIdx + 1) % len(rk.actWindow)
 		return 0
@@ -310,57 +386,44 @@ func (c *Channel) Issue(cmd Command, loc Loc, now int64) int64 {
 	case CmdPRE:
 		c.NumPRE++
 		b.openRow = -1
-		b.nextACT = max64(b.nextACT, now+int64(c.t.TRP))
+		b.nextACT = max(b.nextACT, now+int64(c.t.TRP))
 		return 0
 
 	case CmdRD:
 		c.NumRD++
-		c.bankCols[loc.Rank*c.cfg.Banks+c.bankIdx(loc)]++
+		c.bankCols[c.flatBank(loc)]++
 		dataStart := now + int64(c.t.TCL)
 		dataEnd := dataStart + c.readBL
 		c.occupyBus(dataStart, dataEnd, loc.Rank)
-		b.nextPRE = max64(b.nextPRE, now+int64(c.t.TRTP))
+		b.nextPRE = max(b.nextPRE, now+int64(c.t.TRTP))
 		c.applyColToCol(loc, now)
 		// Read-to-write turnaround (bus direction change): WR command must
 		// wait so its data follows the read burst plus 2-cycle gap.
-		rdToWr := now + int64(c.t.TCL) + c.readBL + 2 - int64(c.t.TCWL)
-		for r := range c.rank {
-			for i := range c.rank[r].banks {
-				ob := &c.rank[r].banks[i]
-				ob.nextWR = max64(ob.nextWR, rdToWr)
-			}
-		}
+		c.nextWR = max(c.nextWR, dataEnd+2-int64(c.t.TCWL))
 		return dataEnd
 
 	case CmdWR:
 		c.NumWR++
-		c.bankCols[loc.Rank*c.cfg.Banks+c.bankIdx(loc)]++
+		c.bankCols[c.flatBank(loc)]++
 		dataStart := now + int64(c.t.TCWL)
 		dataEnd := dataStart + c.writeBL
 		c.occupyBus(dataStart, dataEnd, loc.Rank)
-		b.nextPRE = max64(b.nextPRE, dataEnd+int64(c.t.TWR))
+		b.nextPRE = max(b.nextPRE, dataEnd+int64(c.t.TWR))
 		c.applyColToCol(loc, now)
 		// Write-to-read turnaround: same-rank reads wait tWTR after the
 		// write data completes; the _L/_S distinction is by bank group.
-		for i := range rk.banks {
-			ob := &rk.banks[i]
-			if i/c.banksPerGroup == loc.BankGroup {
-				ob.nextRD = max64(ob.nextRD, dataEnd+int64(c.t.TWTRL))
-			} else {
-				ob.nextRD = max64(ob.nextRD, dataEnd+int64(c.t.TWTRS))
-			}
-		}
+		rk.nextRD = max(rk.nextRD, dataEnd+int64(c.t.TWTRS))
+		g := c.group(loc)
+		g.nextRD = max(g.nextRD, dataEnd+int64(c.t.TWTRL))
 		return dataEnd
 
 	case CmdREF:
+		// Every command to the rank waits for refBusy (rankHorizon), so
+		// no bank state moves.
 		c.NumREF++
 		c.RefreshShadowCycles += uint64(c.t.TRFC)
 		rk.refBusy = now + int64(c.t.TRFC)
 		rk.nextREF += int64(c.t.TREFI)
-		rk.pendingREF = false
-		for i := range rk.banks {
-			rk.banks[i].nextACT = max64(rk.banks[i].nextACT, rk.refBusy)
-		}
 		return rk.refBusy
 
 	default:
@@ -368,22 +431,12 @@ func (c *Channel) Issue(cmd Command, loc Loc, now int64) int64 {
 	}
 }
 
-// applyColToCol enforces tCCD_S/tCCD_L between successive column commands
-// within the channel (same vs different bank group of the issuing rank).
+// applyColToCol enforces tCCD_S between successive column commands within
+// the channel and tCCD_L within the issuing rank's bank group.
 func (c *Channel) applyColToCol(loc Loc, now int64) {
-	for r := range c.rank {
-		for i := range c.rank[r].banks {
-			ob := &c.rank[r].banks[i]
-			var gap int64
-			if r == loc.Rank && i/c.banksPerGroup == loc.BankGroup {
-				gap = int64(c.t.TCCDL)
-			} else {
-				gap = int64(c.t.TCCDS)
-			}
-			ob.nextRD = max64(ob.nextRD, now+gap)
-			ob.nextWR = max64(ob.nextWR, now+gap)
-		}
-	}
+	c.nextCol = max(c.nextCol, now+int64(c.t.TCCDS))
+	g := c.group(loc)
+	g.nextCol = max(g.nextCol, now+int64(c.t.TCCDL))
 }
 
 func (c *Channel) occupyBus(start, end int64, rank int) {
@@ -448,24 +501,22 @@ func (c *Channel) RecordRowOutcome(hit, conflict bool) {
 	}
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// DebugState renders per-bank timing state. Opt-in debugging aid for
+// DebugState renders the channel's timing state. Opt-in debugging aid for
 // divergence localization (see memctrl.Controller.DebugState).
 func (c *Channel) DebugState() string {
 	var s strings.Builder
-	fmt.Fprintf(&s, "bus=%d lastRank=%d lastCmd=%d ", c.dataBusFreeAt, c.lastBurstRank, c.lastCmdCycle)
+	fmt.Fprintf(&s, "bus=%d lastRank=%d lastCmd=%d col=%d wr=%d ",
+		c.dataBusFreeAt, c.lastBurstRank, c.lastCmdCycle, c.nextCol, c.nextWR)
 	for r := range c.rank {
 		rk := &c.rank[r]
-		fmt.Fprintf(&s, "r%d(ref=%d,busy=%d)[", r, rk.nextREF, rk.refBusy)
-		for b := range rk.banks {
-			bk := &rk.banks[b]
-			fmt.Fprintf(&s, "%d:%d/%d,%d,%d,%d ", b, bk.openRow, bk.nextACT, bk.nextPRE, bk.nextRD, bk.nextWR)
+		fmt.Fprintf(&s, "r%d(ref=%d,busy=%d,act=%d,rd=%d)[", r, rk.nextREF, rk.refBusy, rk.nextACT, rk.nextRD)
+		for g := r * c.cfg.BankGroups; g < (r+1)*c.cfg.BankGroups; g++ {
+			gs := &c.groups[g]
+			fmt.Fprintf(&s, "g%d:%d,%d,%d ", g, gs.nextACT, gs.nextCol, gs.nextRD)
+		}
+		for b := r * c.cfg.Banks; b < (r+1)*c.cfg.Banks; b++ {
+			bk := &c.banks[b]
+			fmt.Fprintf(&s, "%d:%d/%d,%d,%d ", b, bk.openRow, bk.nextACT, bk.nextPRE, bk.nextCol)
 		}
 		s.WriteString("] ")
 	}

@@ -335,3 +335,60 @@ func TestDataBusNeverOverlaps(t *testing.T) {
 		}
 	}
 }
+
+// requireSameEarliest fails unless a and b agree on EarliestIssue for
+// every (command, bank) at cycle at, whatever the bank state.
+func requireSameEarliest(t *testing.T, a, b *Channel, cfg config.DRAM, at int64) {
+	t.Helper()
+	for _, loc := range allLocs(cfg) {
+		for cmd := CmdACT; cmd <= CmdREF; cmd++ {
+			if ea, eb := a.EarliestIssue(cmd, loc, at), b.EarliestIssue(cmd, loc, at); ea != eb {
+				t.Fatalf("cycle %d: EarliestIssue(%v, %+v) = %d vs %d", at, cmd, loc, ea, eb)
+			}
+		}
+	}
+}
+
+// TestAdoptStateMatchesSource grafts a warmed channel's state onto fresh
+// channels, one of the same configuration and one with eWCRC write bursts
+// (as a fork does), and requires EarliestIssue to agree with the source
+// for every (command, bank). The same-configuration graft must then keep
+// agreeing while both receive the same commands.
+func TestAdoptStateMatchesSource(t *testing.T) {
+	for _, g := range checkerGeoms() {
+		src := driveStream(t, g.cfg, 7, 1500, 0)
+		now := src.lastCmdCycle + 1
+		ewcrc := g.cfg
+		ewcrc.WriteBurstBeats = 10
+		for _, cfg := range []config.DRAM{g.cfg, ewcrc} {
+			dst, err := NewChannel(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst.AdoptState(src)
+			for _, d := range []int64{0, 5, 50, 500} {
+				requireSameEarliest(t, src, dst, g.cfg, now+d)
+			}
+		}
+		dst, _ := NewChannel(g.cfg)
+		dst.AdoptState(src)
+		rng := uint64(99)
+		next := func(n int) int {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			return int(rng >> 33 % uint64(n))
+		}
+		for i := 0; i < 300; i++ {
+			loc := Loc{Rank: next(g.cfg.Ranks), BankGroup: next(g.cfg.BankGroups), Bank: next(g.cfg.BanksPerGroup()), Row: 1}
+			cmd := CmdACT
+			if _, open := src.OpenRow(loc); open {
+				cmd = []Command{CmdPRE, CmdRD, CmdWR}[next(3)]
+			}
+			at := src.EarliestIssue(cmd, loc, now)
+			if src.Issue(cmd, loc, at) != dst.Issue(cmd, loc, at) {
+				t.Fatalf("%s step %d: %v completion differs after the graft", g.name, i, cmd)
+			}
+			now = at
+			requireSameEarliest(t, src, dst, g.cfg, now+int64(next(20)))
+		}
+	}
+}

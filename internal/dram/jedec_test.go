@@ -306,7 +306,6 @@ func driveStream(t testing.TB, cfg config.DRAM, seed int64, steps, sampleEvery i
 func TestCommandStreamMatchesJEDEC(t *testing.T) {
 	for _, g := range checkerGeoms() {
 		for seed := int64(1); seed <= 3; seed++ {
-			g, seed := g, seed
 			t.Run(fmt.Sprintf("%s/seed=%d", g.name, seed), func(t *testing.T) {
 				t.Parallel()
 				ch := driveStream(t, g.cfg, seed, 3000, 40)

@@ -17,6 +17,19 @@
 // request a per-request row-hit-first scan would pick: the command stream
 // is byte-identical to that scan's.
 //
+// Each queue caches, per bank, its two candidates with their bank-local
+// ready cycles (dram.Channel.LocalReady). A bank's entry is recomputed
+// only when its list changes (enqueue, column issue) or a command is
+// issued to that bank, from either queue or the refresh sequence: those
+// are the only events that move the bank's open row, its local ready
+// cycles, or which requests are its candidates. Every other command moves
+// only shared horizons, which one dram.Channel.Horizons call per scan
+// supplies. A candidate's earliest issue cycle is then the max of its
+// cached local cycle and its bank group's horizon, exactly EarliestIssue.
+// External channel mutation would bypass this invalidation rule, so it
+// goes through the controller: AdoptChannelState requires empty queues,
+// and SkipRefreshTo moves only refresh deadlines, which no entry holds.
+//
 // One pass per queue evaluates each candidate's earliest issue cycle once.
 // That value both picks the winner (ready now, oldest ID) and, when
 // nothing issues, bounds the next cycle anything could (see Tick). The
@@ -69,12 +82,34 @@ type Completion struct {
 type queue struct {
 	col   dram.Command // column command its requests need: RD or WR
 	banks [][]Request  // per flat bank, arrival (= ID) order
+	cands []bankCands  // per flat bank; valid while banks[b] is non-empty
 	busy  []uint64     // bit b set iff banks[b] is non-empty
 	n     int
 }
 
-func newQueue(col dram.Command, nbanks int) queue {
-	return queue{col: col, banks: make([][]Request, nbanks), busy: make([]uint64, (nbanks+63)/64)}
+// bankCands caches one bank list's FR-FCFS candidates: slot 0 its oldest
+// row hit (column command), slot 1 its oldest request when that is not a
+// hit (PRE on a conflict, ACT on a closed bank). Each slot holds the
+// command, its request's list index and ID, the dram.Horizon index the
+// command reads, and the bank-local ready cycle; an empty slot has
+// t = never.
+type bankCands struct {
+	t     [2]int64
+	id    [2]uint64
+	cmd   [2]dram.Command
+	idx   [2]int32
+	hz    [2]uint8
+	group int32 // flat bank group: rank*BankGroups + bankGroup
+}
+
+func newQueue(col dram.Command, cfg config.DRAM) queue {
+	nbanks := cfg.Ranks * cfg.Banks
+	q := queue{col: col, banks: make([][]Request, nbanks), cands: make([]bankCands, nbanks),
+		busy: make([]uint64, (nbanks+63)/64)}
+	for b := range q.cands {
+		q.cands[b].group = int32(b / cfg.BanksPerGroup())
+	}
+	return q
 }
 
 func (q *queue) push(b int, r Request) {
@@ -109,6 +144,7 @@ type Controller struct {
 
 	readQ  queue
 	writeQ queue
+	hor    []dram.Horizon // scan's scratch: per flat bank group
 
 	draining  bool
 	drainHigh int // write-drain high watermark, in queue entries
@@ -152,8 +188,9 @@ func New(cfg config.DRAM) (*Controller, error) {
 		cfg:    cfg,
 		ch:     ch,
 		mapper: mapper,
-		readQ:  newQueue(dram.CmdRD, cfg.Ranks*cfg.Banks),
-		writeQ: newQueue(dram.CmdWR, cfg.Ranks*cfg.Banks),
+		readQ:  newQueue(dram.CmdRD, cfg),
+		writeQ: newQueue(dram.CmdWR, cfg),
+		hor:    make([]dram.Horizon, cfg.Ranks*cfg.BankGroups),
 		// The hysteresis thresholds are derived once: the quiet-span
 		// machinery and the scheduler must agree on them exactly, or
 		// event-driven runs would diverge from the reference loop.
@@ -188,7 +225,13 @@ func (c *Controller) touch() { c.quietDirty = true }
 func (c *Controller) locate(addr uint64) (uint64, dram.Loc, int) {
 	lineAddr := addr &^ uint64(c.cfg.LineBytes-1)
 	_, loc := c.mapper.Map(lineAddr)
-	return lineAddr, loc, loc.Rank*c.cfg.Banks + loc.BankGroup*c.cfg.BanksPerGroup() + loc.Bank
+	return lineAddr, loc, c.flatBank(loc)
+}
+
+// flatBank returns loc's flat bank: rank*Banks + bankGroup*banksPerGroup +
+// bank.
+func (c *Controller) flatBank(loc dram.Loc) int {
+	return loc.Rank*c.cfg.Banks + loc.BankGroup*c.cfg.BanksPerGroup() + loc.Bank
 }
 
 // CanAccept reports, without mutating any state, whether an enqueue of
@@ -243,13 +286,15 @@ func (c *Controller) EnqueueWrite(addr uint64, now int64) error {
 	return nil
 }
 
-// noteEnqueued folds bank b's candidates, just joined by a new request,
-// into the quiet bound. Adding a request can only add issue opportunities
-// and touches no channel state, so min-ing its bank's candidates into a
-// still-valid bound stays sound without invalidating the span. Crossing
-// the write-drain high watermark must still invalidate: the pending drain
-// toggle is next-cycle scheduler work no per-bank term covers.
+// noteEnqueued recomputes bank b's cached candidates, just joined by a new
+// request, and folds them into the quiet bound. Adding a request can only
+// add issue opportunities and touches no channel state, so min-ing its
+// bank's candidates into a still-valid bound stays sound without
+// invalidating the span. Crossing the write-drain high watermark must
+// still invalidate: the pending drain toggle is next-cycle scheduler work
+// no per-bank term covers.
 func (c *Controller) noteEnqueued(q *queue, b int, now int64) {
+	c.cacheCands(q, b)
 	if !c.eventDriven || c.quietDirty || (!c.draining && c.writeQ.n >= c.drainHigh) {
 		c.quietDirty = true
 		return
@@ -259,8 +304,36 @@ func (c *Controller) noteEnqueued(q *queue, b int, now int64) {
 	// can legally issue in the very cycle it arrives. For enqueues that
 	// land after the pass the bound is one cycle conservative, which only
 	// costs a no-op wake.
-	hit, head := c.bankCands(q, b, now)
-	c.quietUntil = min(c.quietUntil, hit.t, head.t)
+	e := &q.cands[b]
+	for k := range e.t {
+		if e.t[k] != never {
+			c.quietUntil = min(c.quietUntil, c.ch.EarliestIssue(e.cmd[k], q.banks[b][e.idx[k]].loc, now))
+		}
+	}
+}
+
+// AdoptChannelState grafts src's DRAM channel state onto c's channel (see
+// dram.Channel.AdoptState). The graft replaces every bank's open row and
+// local ready cycles, which would make cached candidates stale, so c must
+// have no request queued; it panics otherwise.
+func (c *Controller) AdoptChannelState(src *Controller) {
+	if c.readQ.n+c.writeQ.n != 0 {
+		panic(fmt.Sprintf("memctrl: channel state adopted under %d queued requests", c.readQ.n+c.writeQ.n))
+	}
+	c.ch.AdoptState(src.ch)
+	c.touch()
+}
+
+// SkipRefreshTo rebases the channel's refresh deadlines past now (see
+// dram.Channel.SkipRefreshTo) after a functional fast-forward. Queued
+// writes may remain: the rebase moves only rank refresh deadlines, which
+// scan reads live and no cached candidate holds. Reads must be idle, as
+// the clock jump requires (ReadsIdle); it panics otherwise.
+func (c *Controller) SkipRefreshTo(now int64) {
+	if !c.ReadsIdle() {
+		panic(fmt.Sprintf("memctrl: refresh rebased with reads in flight: %v", c))
+	}
+	c.ch.SkipRefreshTo(now)
 }
 
 // Idle reports whether all queues and in-flight activity are drained.
@@ -414,6 +487,9 @@ func (c *Controller) issueOne(now int64) (bool, int64) {
 		if cmd, loc, t := c.refreshStep(r, now); t == now {
 			c.ch.Issue(cmd, loc, now)
 			c.touch()
+			if cmd == dram.CmdPRE { // REF moves no bank-local state
+				c.cacheBank(c.flatBank(loc))
+			}
 			return true, now
 		}
 	}
@@ -446,58 +522,77 @@ func (c *Controller) issueOne(now int64) (bool, int64) {
 }
 
 // cand is one FR-FCFS candidate: a queued request (bank list b, index
-// idx), the command it needs next, and the earliest cycle it may issue.
-// A zero cmd means no candidate, with t = never.
+// idx) and the command it needs next. A zero cmd means no candidate.
 type cand struct {
 	cmd    dram.Command
 	b, idx int
-	t      int64
 }
 
-// bankCands evaluates bank b's two FR-FCFS candidates in q at cycle at:
-// its oldest row hit, and its oldest request when that is not a hit.
-func (c *Controller) bankCands(q *queue, b int, at int64) (hit, head cand) {
+// cacheCands recomputes bank b's cached candidates in q from its list and
+// the bank's open row and local ready cycles.
+func (c *Controller) cacheCands(q *queue, b int) {
 	reqs := q.banks[b]
-	hit, head = cand{t: never}, cand{t: never}
+	if len(reqs) == 0 {
+		return
+	}
+	e := &q.cands[b]
+	e.t = [2]int64{never, never}
+	set := func(k int, cmd dram.Command, hz uint8, i int) {
+		e.t[k] = c.ch.LocalReady(cmd, reqs[i].loc)
+		e.id[k], e.cmd[k], e.idx[k], e.hz[k] = reqs[i].ID, cmd, int32(i), hz
+	}
 	row, open := c.ch.OpenRow(reqs[0].loc)
 	if !open {
-		head = cand{dram.CmdACT, b, 0, c.ch.EarliestIssue(dram.CmdACT, reqs[0].loc, at)}
-		return hit, head
+		set(1, dram.CmdACT, dram.HorizonACT, 0)
+		return
 	}
 	for i := range reqs {
 		if reqs[i].loc.Row == row {
-			hit = cand{q.col, b, i, c.ch.EarliestIssue(q.col, reqs[i].loc, at)}
+			set(0, q.col, dram.HorizonCol, i)
+			if i == 0 {
+				return
+			}
 			break
 		}
 	}
-	if hit.cmd == 0 || hit.idx > 0 {
-		head = cand{dram.CmdPRE, b, 0, c.ch.EarliestIssue(dram.CmdPRE, reqs[0].loc, at)}
-	}
-	return hit, head
+	set(1, dram.CmdPRE, dram.HorizonPRE, 0)
+}
+
+// cacheBank recomputes flat bank b's candidates in both queues after a
+// command to that bank moved its open row or local ready cycles.
+func (c *Controller) cacheBank(b int) {
+	c.cacheCands(&c.readQ, b)
+	c.cacheCands(&c.writeQ, b)
 }
 
 // scan applies FR-FCFS to one queue at cycle at, skipping ranks with
 // refresh due: it returns the oldest row hit ready at at, else the oldest
 // ready PRE/ACT (zero cmd if none), and the earliest cycle at which any
-// candidate could issue.
+// candidate could issue. Each candidate's earliest issue cycle is the max
+// of its cached local ready cycle and its bank group's shared horizon.
 func (c *Controller) scan(q *queue, at int64) (pick cand, next int64) {
+	hor := c.hor
+	c.ch.Horizons(q.col, at, hor)
+	for r := 0; r < c.cfg.Ranks; r++ {
+		if c.ch.RefreshDue(r, at) {
+			for g := r * c.cfg.BankGroups; g < (r+1)*c.cfg.BankGroups; g++ {
+				hor[g] = dram.Horizon{never, never, never}
+			}
+		}
+	}
 	var best [2]cand // row-hit winner, PRE/ACT winner
 	var bestID [2]uint64
 	next = never
 	for w, word := range q.busy {
 		for ; word != 0; word &= word - 1 {
 			b := w<<6 | bits.TrailingZeros64(word)
-			if c.ch.RefreshDue(q.banks[b][0].loc.Rank, at) {
-				continue
-			}
-			hit, head := c.bankCands(q, b, at)
-			for k, cd := range [2]cand{hit, head} {
-				next = min(next, cd.t)
-				if cd.t != at {
-					continue
-				}
-				if id := q.banks[b][cd.idx].ID; best[k].cmd == 0 || id < bestID[k] {
-					best[k], bestID[k] = cd, id
+			e := &q.cands[b]
+			h := &hor[e.group]
+			for k := range e.t {
+				t := max(e.t[k], h[e.hz[k]])
+				next = min(next, t)
+				if t == at && (best[k].cmd == 0 || e.id[k] < bestID[k]) {
+					best[k], bestID[k] = cand{e.cmd[k], b, int(e.idx[k])}, e.id[k]
 				}
 			}
 		}
@@ -516,20 +611,20 @@ func (c *Controller) issue(q *queue, p cand, now int64) {
 	switch p.cmd {
 	case dram.CmdPRE:
 		c.ch.RecordRowOutcome(false, true)
-		return
 	case dram.CmdACT:
 		c.ch.RecordRowOutcome(false, false)
-		return
+	default:
+		c.ch.RecordRowOutcome(true, false)
+		q.remove(p.b, p.idx)
+		if req.Write {
+			c.WritesCompleted++
+		} else {
+			c.ReadsCompleted++
+			c.ReadLatencySum += uint64(done - req.Arrival)
+			heap.Push(&c.pending, Completion{ID: req.ID, Addr: req.Addr, Done: done})
+		}
 	}
-	c.ch.RecordRowOutcome(true, false)
-	q.remove(p.b, p.idx)
-	if req.Write {
-		c.WritesCompleted++
-		return
-	}
-	c.ReadsCompleted++
-	c.ReadLatencySum += uint64(done - req.Arrival)
-	heap.Push(&c.pending, Completion{ID: req.ID, Addr: req.Addr, Done: done})
+	c.cacheBank(p.b)
 }
 
 // AvgReadLatency returns the mean enqueue-to-data latency in memory cycles.

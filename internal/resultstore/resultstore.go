@@ -119,6 +119,10 @@ type Store struct {
 	// that succeeds. Health serves it too, so a failing background pass
 	// is visible rather than swallowed.
 	compactErr error
+	// compactFailures counts failed compaction passes over the store's
+	// lifetime; Stats exports it so /metrics shows every failure, not only
+	// the latest.
+	compactFailures int64
 }
 
 // segInfo is this store's view of one segment it does not own.
@@ -138,6 +142,9 @@ type StoreStats struct {
 	Segments     int   `json:"segments"`
 	DiskBytes    int64 `json:"disk_bytes"`
 	GarbageBytes int64 `json:"garbage_bytes"`
+	// CompactionErrors counts compaction passes, background or
+	// synchronous, that failed.
+	CompactionErrors int64 `json:"compaction_errors"`
 }
 
 // Open opens (creating if needed) the store directory and loads every
@@ -457,6 +464,7 @@ func (s *Store) finishCompaction(done chan struct{}, err error) {
 	s.compactErr = nil
 	if err != nil {
 		s.compactErr = fmt.Errorf("resultstore: compaction failed: %w", err)
+		s.compactFailures++
 	}
 	if s.rearm && !s.closed {
 		s.rearm = false
@@ -661,6 +669,8 @@ func (s *Store) Stats() StoreStats {
 		Segments:     segs,
 		DiskBytes:    s.totalBytes,
 		GarbageBytes: s.garbageLocked(),
+
+		CompactionErrors: s.compactFailures,
 	}
 }
 

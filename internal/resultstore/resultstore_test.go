@@ -251,6 +251,9 @@ func TestCompactionErrorLatchesHealth(t *testing.T) {
 	if err := s.Health(); err == nil || !strings.Contains(err.Error(), "compaction failed") {
 		t.Fatalf("Health after a failed pass = %v", err)
 	}
+	if got := s.Stats().CompactionErrors; got != 1 {
+		t.Fatalf("CompactionErrors after a failed pass = %d, want 1", got)
+	}
 	if err := os.Rename(dir+".moved", dir); err != nil {
 		t.Fatal(err)
 	}
@@ -259,6 +262,9 @@ func TestCompactionErrorLatchesHealth(t *testing.T) {
 	}
 	if err := s.Health(); err != nil {
 		t.Fatalf("Health still %v after a successful pass", err)
+	}
+	if got := s.Stats().CompactionErrors; got != 1 {
+		t.Fatalf("CompactionErrors after a successful pass = %d, want 1 (a count, not a latch)", got)
 	}
 }
 

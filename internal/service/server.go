@@ -1160,6 +1160,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		e.Gauge("secddr_store_segments", "Store segments on disk.", float64(stats.Segments))
 		e.Gauge("secddr_store_disk_bytes", "Total store bytes on disk.", float64(stats.DiskBytes))
 		e.Gauge("secddr_store_garbage_bytes", "Store bytes owed to duplicate records.", float64(stats.GarbageBytes))
+		e.Counter("secddr_store_compaction_errors_total", "Store compaction passes that failed.", stats.CompactionErrors)
 	}
 	queueWait, leaseDur, simWall, storeFlush := s.metrics.snapshot()
 	e.Histogram("secddr_queue_wait_us", "Microseconds jobs spent pending before being leased.", &queueWait)

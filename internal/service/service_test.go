@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -192,6 +193,22 @@ func TestRemoteSweepEndToEnd(t *testing.T) {
 	}
 	if res.Workload != outs[0].Workload {
 		t.Errorf("stored result workload = %q, want %q", res.Workload, outs[0].Workload)
+	}
+
+	// The store's size and failure figures reach /metrics.
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil || resp.StatusCode != 200 {
+		t.Fatalf("metrics = %v, %v", resp, err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"secddr_store_entries 4\n", "secddr_store_compaction_errors_total 0\n"} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("metrics missing %q in:\n%s", want, body)
+		}
 	}
 }
 

@@ -543,7 +543,7 @@ func (s *system) jumpClocks(jump int64) {
 	s.memNow += total / int64(cpuMHz)
 	s.memAcc = int(total % int64(cpuMHz))
 	for _, ctl := range s.engine.Controllers() {
-		ctl.Channel().SkipRefreshTo(s.memNow)
+		ctl.SkipRefreshTo(s.memNow)
 	}
 	s.memEventStale = true
 }

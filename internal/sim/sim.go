@@ -782,7 +782,7 @@ func (s *system) resume(opt Options) error {
 	engine.SetEventDriven(s.eventDriven)
 	old := s.engine.Controllers()
 	for i, ctl := range engine.Controllers() {
-		ctl.Channel().AdoptState(old[i].Channel())
+		ctl.AdoptChannelState(old[i])
 	}
 	s.engine = engine
 	s.opt = opt
