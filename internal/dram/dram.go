@@ -246,28 +246,24 @@ func (c *Channel) SkipRefreshTo(now int64) {
 // RD and WR it is the max of LocalReady and the bank group's Horizons
 // entry.
 func (c *Channel) EarliestIssue(cmd Command, loc Loc, now int64) int64 {
-	if cmd == CmdREF {
-		// After the command bus and refresh, all banks must be precharged
-		// and past their PRE-to-ACT windows.
-		earliest := c.rankHorizon(CmdREF, loc.Rank, now)[HorizonPRE]
-		for _, b := range c.banks[loc.Rank*c.cfg.Banks : (loc.Rank+1)*c.cfg.Banks] {
-			if b.openRow >= 0 {
-				return -1 // caller must precharge first
-			}
-			earliest = max(earliest, b.nextACT)
-		}
-		return earliest
-	}
-	h := c.rankHorizon(cmd, loc.Rank, now)
-	c.addGroup(&h, cmd, loc.Rank*c.cfg.BankGroups+loc.BankGroup)
-	k := HorizonCol
+	r, g := loc.Rank, loc.Rank*c.cfg.BankGroups+loc.BankGroup
+	earliest := c.base(r, now)
 	switch cmd {
 	case CmdACT:
-		k = HorizonACT
+		return max(earliest, c.bank(loc).nextACT, c.rankACT(r), c.groups[g].nextACT)
 	case CmdPRE:
-		k = HorizonPRE
+		return max(earliest, c.bank(loc).nextPRE)
+	case CmdRD, CmdWR:
+		return max(earliest, c.bank(loc).nextCol, c.rankCol(cmd, r), c.groupCol(cmd, g))
 	}
-	return max(c.LocalReady(cmd, loc), h[k])
+	// REF: all banks must be precharged and past their PRE-to-ACT windows.
+	for _, b := range c.banks[r*c.cfg.Banks : (r+1)*c.cfg.Banks] {
+		if b.openRow >= 0 {
+			return -1 // caller must precharge first
+		}
+		earliest = max(earliest, b.nextACT)
+	}
+	return earliest
 }
 
 // LocalReady returns the bank-local part of EarliestIssue for ACT, PRE, RD
@@ -303,50 +299,52 @@ const (
 func (c *Channel) Horizons(col Command, at int64, dst []Horizon) {
 	groups := c.cfg.BankGroups
 	for r := range c.rank {
-		h := c.rankHorizon(col, r, at)
+		base := c.base(r, at)
+		act := max(base, c.rankACT(r))
+		colR := max(base, c.rankCol(col, r))
 		for g := r * groups; g < (r+1)*groups; g++ {
-			dst[g] = h
-			c.addGroup(&dst[g], col, g)
+			dst[g] = Horizon{
+				HorizonCol: max(colR, c.groupCol(col, g)),
+				HorizonACT: max(act, c.groups[g].nextACT),
+				HorizonPRE: base,
+			}
 		}
 	}
 }
 
-// rankHorizon returns rank r's shared horizons at cycle at before the
-// bank-group terms: the command bus and refresh for every command, tRRD_S
-// and tFAW for ACT, and for column command col tCCD_S, tWTR_S (RD) or the
-// read-to-write turnaround (WR), and the data bus.
-func (c *Channel) rankHorizon(col Command, r int, at int64) Horizon {
+// base is what every command to rank r waits for at cycle at: the command
+// bus and refresh.
+func (c *Channel) base(r int, at int64) int64 {
+	return max(at, c.lastCmdCycle+1, c.rank[r].refBusy)
+}
+
+// rankACT is rank r's tRRD_S and tFAW horizon for ACT.
+func (c *Channel) rankACT(r int) int64 {
 	rk := &c.rank[r]
-	base := max(at, c.lastCmdCycle+1, rk.refBusy)
-	h := Horizon{
-		HorizonCol: base,
-		HorizonACT: max(base, rk.nextACT, rk.actWindow[rk.actIdx]+int64(c.t.TFAW)),
-		HorizonPRE: base,
-	}
-	// A column command waits until its data burst fits on the shared data
-	// bus, including the rank-to-rank switch gap.
+	return max(rk.nextACT, rk.actWindow[rk.actIdx]+int64(c.t.TFAW))
+}
+
+// rankCol is the channel and rank r horizon for column command col: tCCD_S,
+// tWTR_S (RD) or the read-to-write turnaround (WR), and the data bus, where
+// the burst must fit after the previous one plus the rank-to-rank gap.
+func (c *Channel) rankCol(col Command, r int) int64 {
 	free := c.dataBusFreeAt
 	if c.lastBurstRank >= 0 && c.lastBurstRank != r {
 		free += int64(c.t.TRTRS)
 	}
-	switch col {
-	case CmdRD:
-		h[HorizonCol] = max(base, c.nextCol, rk.nextRD, free-int64(c.t.TCL))
-	case CmdWR:
-		h[HorizonCol] = max(base, c.nextCol, c.nextWR, free-int64(c.t.TCWL))
+	if col == CmdRD {
+		return max(c.nextCol, c.rank[r].nextRD, free-int64(c.t.TCL))
 	}
-	return h
+	return max(c.nextCol, c.nextWR, free-int64(c.t.TCWL))
 }
 
-// addGroup folds flat bank group g's tRRD_L, tCCD_L and, for RD, tWTR_L
-// horizons into h.
-func (c *Channel) addGroup(h *Horizon, col Command, g int) {
+// groupCol is flat bank group g's tCCD_L and, for RD, tWTR_L horizon.
+func (c *Channel) groupCol(col Command, g int) int64 {
 	gs := &c.groups[g]
-	h[HorizonACT] = max(h[HorizonACT], gs.nextACT)
-	h[HorizonCol] = max(h[HorizonCol], gs.nextCol)
 	if col == CmdRD {
-		h[HorizonCol] = max(h[HorizonCol], gs.nextRD)
+		return max(gs.nextCol, gs.nextRD)
 	}
+	return gs.nextCol
 }
 
 // CanIssue reports whether cmd may issue exactly at cycle now.
