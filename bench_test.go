@@ -10,7 +10,7 @@
 //	BenchmarkFig10_InvisiMemXTS  — authenticated-channel comparison (XTS)
 //	BenchmarkFig12_InvisiMemCNT  — same with counter-mode encryption
 //	BenchmarkTable1_Simulation   — raw simulator throughput on Table I
-//	BenchmarkSweepCached         — harness checkpoint cache-hit path
+//	BenchmarkSweepCached         — harness result-store cache-hit path
 //	BenchmarkTable2_Power        — analytical power model
 //	BenchmarkSecIIIB_EWCRC       — brute-force security analysis
 //	BenchmarkProtocol*           — functional-model wire-protocol speed
@@ -29,6 +29,7 @@ import (
 	"secddr/internal/config"
 	"secddr/internal/experiments"
 	"secddr/internal/harness"
+	"secddr/internal/resultstore"
 	"secddr/internal/sim"
 	"secddr/internal/trace"
 )
@@ -133,8 +134,8 @@ func BenchmarkTable1_Simulation(b *testing.B) {
 }
 
 // BenchmarkSweepCached measures the harness cache-hit path: a Fig. 6-shaped
-// campaign served entirely from a warm checkpoint, i.e. the fixed overhead a
-// resumed sweep pays per already-computed point.
+// campaign served entirely from a warm result store, i.e. the fixed overhead
+// a resumed sweep pays per already-computed point.
 func BenchmarkSweepCached(b *testing.B) {
 	mustProfile := func(name string) trace.Profile {
 		p, ok := trace.ByName(name)
@@ -152,8 +153,12 @@ func BenchmarkSweepCached(b *testing.B) {
 		WarmupInstr:  5_000,
 		Seed:         42,
 	}
-	ckpt := filepath.Join(b.TempDir(), "bench.ckpt.json")
-	c := harness.Campaign{Jobs: grid.Jobs(), Checkpoint: ckpt}
+	st, err := resultstore.Open(filepath.Join(b.TempDir(), "store"), resultstore.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	c := harness.Campaign{Jobs: grid.Jobs(), Store: st}
 	if _, _, err := harness.Run(c); err != nil {
 		b.Fatal(err)
 	}
@@ -164,7 +169,7 @@ func BenchmarkSweepCached(b *testing.B) {
 			b.Fatal(err)
 		}
 		if stats.Executed != 0 {
-			b.Fatalf("warm checkpoint missed: %+v", stats)
+			b.Fatalf("warm store missed: %+v", stats)
 		}
 	}
 	b.ReportMetric(float64(len(c.Jobs)), "points/op")
@@ -210,8 +215,8 @@ func BenchmarkForkedSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkColdSweep is the same sweep forced cold (Sim: sim.Run bypasses
-// the fork scheduler), paying one full warmup per point. The
+// BenchmarkColdSweep is the same sweep forced cold (Sim: sim.Run puts every
+// point in its own scheduler group), paying one full warmup per point. The
 // ForkedSweep/ColdSweep ratio is the headline speedup of PR 6.
 func BenchmarkColdSweep(b *testing.B) {
 	jobs := forkSweepJobs(b)

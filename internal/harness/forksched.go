@@ -8,90 +8,37 @@ import (
 	"secddr/internal/sim"
 )
 
-// This file holds the two campaign schedulers behind RunContext.
-//
-// runFlat is the classic pool: every pending point is one call to the
-// substituted Sim function. runForked is the default for the built-in
-// simulator: points whose options share a sim.WarmupKey form a snapshot
-// group that warms once (sim.Warmup) and forks every member from the
-// snapshot (sim.Warmed.Fork). Forking is result-identical to a cold run —
-// the sim package's snapshot identity suite is the proof — so the caching,
-// dedup, and store semantics are unchanged; only redundant warmups
-// disappear.
+// This file holds the campaign scheduler behind RunContext. For the
+// built-in simulator, points whose options share a sim.WarmupKey form a
+// snapshot group that warms once (sim.Warmup) and forks every member from
+// the snapshot (sim.Warmed.Fork). Forking is result-identical to a cold
+// run — the sim package's snapshot identity suite is the proof — so the
+// caching, dedup, and store semantics are unchanged; only redundant
+// warmups disappear. A substituted Campaign.Sim cannot fork, so each of
+// its points is a one-point group.
 
-// runFlat executes each pending point with c.Sim on a bounded pool. On the
-// first error (or ctx cancellation) it stops dispatching and waits for
-// in-flight points, whose results still reach the store.
-func (c Campaign) runFlat(ctx context.Context, order []string, pending map[string]sim.Options,
-	keyOf map[string]string, store Store, executed map[string]sim.Result,
-	mu *sync.Mutex, firstErr *error, prog *progressTracker) {
-
-	var wg sync.WaitGroup
-	ch := make(chan string)
-	for w := 0; w < c.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for d := range ch {
-				res, err := c.Sim(pending[d])
-				if err != nil && c.OnError != nil {
-					c.OnError(d, err)
-				}
-				if err == nil {
-					// The store has its own lock, so disk flushes never
-					// serialize result collection under mu.
-					err = store.Record(d, res)
-				}
-				mu.Lock()
-				if err != nil {
-					if *firstErr == nil {
-						*firstErr = fmt.Errorf("%s: %w", keyOf[d], err)
-					}
-				} else {
-					executed[d] = res
-				}
-				mu.Unlock()
-				if err == nil {
-					prog.executed(false)
-				}
-			}
-		}()
-	}
-dispatch:
-	for _, d := range order {
-		mu.Lock()
-		failed := *firstErr != nil
-		mu.Unlock()
-		if failed {
-			break dispatch
-		}
-		select {
-		case ch <- d:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(ch)
-	wg.Wait()
-}
-
-// runForked executes the pending points with warmup sharing. Groups are
-// formed by iterating the deterministic order slice, never the pending
-// map: map iteration would randomize group and store-append order between
+// runForked executes the pending points with warmup sharing and returns
+// the executed results with the first error. Groups are formed by
+// iterating the deterministic order slice, never the pending map: map
+// iteration would randomize group and store-append order between
 // identical runs (the emitted JSON stays byte-identical either way, but
 // determinism everywhere is what keeps that property easy to trust).
-// Single-point groups run sim.Run directly — forking a snapshot used once
-// would pay a deep copy for nothing. Fork tasks are scheduled in
-// preference to warmup tasks so snapshots retire (and free their memory)
-// before new ones are created.
+// One-point groups run cold — forking a snapshot used once would pay a
+// deep copy for nothing. Fork tasks are scheduled in preference to warmup
+// tasks so snapshots retire (and free their memory) before new ones are
+// created. On the first error (or ctx cancellation) no further task
+// starts; in-flight tasks finish and their results still reach the store.
 func (c Campaign) runForked(ctx context.Context, order []string, pending map[string]sim.Options,
-	keyOf map[string]string, store Store, executed map[string]sim.Result,
-	mu *sync.Mutex, firstErr *error, prog *progressTracker) {
+	keyOf map[string]string, store Store, prog *progressTracker) (map[string]sim.Result, error) {
 
 	type group struct{ digests []string }
 	groupIdx := make(map[string]int)
 	var groups []*group
 	for _, d := range order {
+		if c.Sim != nil {
+			groups = append(groups, &group{digests: []string{d}})
+			continue
+		}
 		k := pending[d].WarmupKey()
 		gi, ok := groupIdx[k]
 		if !ok {
@@ -106,7 +53,11 @@ func (c Campaign) runForked(ctx context.Context, order []string, pending map[str
 		warmed *sim.Warmed
 		digest string
 	}
+	executed := make(map[string]sim.Result, len(order))
 	var (
+		mu       sync.Mutex // guards executed and firstErr
+		firstErr error
+
 		qmu    sync.Mutex
 		cond   = sync.NewCond(&qmu)
 		warms  = groups
@@ -122,7 +73,7 @@ func (c Campaign) runForked(ctx context.Context, order []string, pending map[str
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		return *firstErr != nil
+		return firstErr != nil
 	}
 	finish := func(d string, res sim.Result, err error, forked bool) {
 		if err != nil && c.OnError != nil {
@@ -133,8 +84,8 @@ func (c Campaign) runForked(ctx context.Context, order []string, pending map[str
 		}
 		mu.Lock()
 		if err != nil {
-			if *firstErr == nil {
-				*firstErr = fmt.Errorf("%s: %w", keyOf[d], err)
+			if firstErr == nil {
+				firstErr = fmt.Errorf("%s: %w", keyOf[d], err)
 			}
 		} else {
 			executed[d] = res
@@ -184,6 +135,10 @@ func (c Campaign) runForked(ctx context.Context, order []string, pending map[str
 				case g == nil:
 					res, err := ft.warmed.Fork(pending[ft.digest])
 					finish(ft.digest, res, err, true)
+				case c.Sim != nil:
+					d := g.digests[0]
+					res, err := c.Sim(pending[d])
+					finish(d, res, err, false)
 				case len(g.digests) == 1:
 					// A cold run pays its own (uncounted-by-Warmup) timed
 					// warmup; count it so Executed - Warmups is exactly the
@@ -205,8 +160,8 @@ func (c Campaign) runForked(ctx context.Context, order []string, pending map[str
 							}
 						}
 						mu.Lock()
-						if *firstErr == nil {
-							*firstErr = fmt.Errorf("%s: %w", keyOf[d0], err)
+						if firstErr == nil {
+							firstErr = fmt.Errorf("%s: %w", keyOf[d0], err)
 						}
 						mu.Unlock()
 					} else {
@@ -227,4 +182,5 @@ func (c Campaign) runForked(ctx context.Context, order []string, pending map[str
 		}()
 	}
 	wg.Wait()
+	return executed, firstErr
 }

@@ -1,11 +1,11 @@
 // Package harness runs simulation campaigns: batches of (workload,
 // configuration) points executed on a bounded worker pool with result
-// caching and resumable checkpoints.
+// caching and resumable sweeps.
 //
 // A campaign is a flat list of Jobs, usually expanded from a declarative
 // Grid (workload x configuration cross product). Run schedules the jobs on
 // GOMAXPROCS workers, deduplicates identical simulation points within the
-// batch, and — when a checkpoint path is set — skips every point whose
+// batch, and — when the campaign has a Store — skips every point whose
 // digest is already recorded, persisting each new result as it completes so
 // an interrupted sweep resumes where it stopped. Results come back in job
 // order as Outcomes, ready for the JSON/CSV emitters in emit.go or for the
@@ -40,9 +40,9 @@ import (
 // the in-batch dedup is: equal digests imply byte-identical results
 // (sim.Options.Digest covers everything result-relevant).
 //
-// Two backends exist: the legacy single-file JSON checkpoint in this
-// package (O(table) bytes per flush) and internal/resultstore's append-only
-// segment log (O(point) per flush, the default for new code).
+// internal/resultstore's append-only segment log is the persistent
+// backend; the campaign service and the fleet worker wrap their own
+// stores around the same interface.
 type Store interface {
 	Lookup(digest string) (sim.Result, bool)
 	Record(digest string, res sim.Result) error
@@ -154,19 +154,16 @@ type Campaign struct {
 	// Store, when non-nil, is the persistent result cache: points already
 	// recorded there are skipped, and each new result is recorded as it
 	// completes, so an interrupted campaign resumes from where it stopped.
-	// It takes precedence over Checkpoint.
+	// nil caches nothing across runs (identical points within the batch
+	// are still simulated once).
 	Store Store
-	// Checkpoint, when non-empty (and Store is nil), names a legacy v1 JSON
-	// checkpoint file used the same way. Kept for existing sweep files; new
-	// code should prefer a resultstore-backed Store.
-	Checkpoint string
 	// Sim is the simulation entry point. nil selects the built-in
-	// fork-after-warmup scheduler: points whose options share a
-	// sim.WarmupKey warm once and fork from the shared snapshot, which is
-	// result-identical to running sim.Run per point but skips the redundant
-	// warmups. Setting it (the campaign service's worker daemon and the
-	// tests substitute stubs; benchmarks pass sim.Run to force cold runs)
-	// uses the flat per-point pool instead.
+	// simulator: points whose options share a sim.WarmupKey warm once and
+	// fork from the shared snapshot, which is result-identical to running
+	// sim.Run per point but skips the redundant warmups. A substituted Sim
+	// (the fleet worker and tests pass stubs; benchmarks pass sim.Run to
+	// force cold runs) runs through the same scheduler with every point in
+	// its own group, called once per point.
 	Sim func(sim.Options) (sim.Result, error)
 	// OnError, when non-nil, observes each individual simulation failure
 	// (digest, error) from the worker goroutine that hit it, in addition to
@@ -259,12 +256,12 @@ type Outcome struct {
 type Stats struct {
 	Total    int `json:"total"`    // jobs requested
 	Executed int `json:"executed"` // simulations actually run
-	Cached   int `json:"cached"`   // jobs served from the checkpoint cache
+	Cached   int `json:"cached"`   // jobs served from the campaign's Store
 	Deduped  int `json:"deduped"`  // jobs served by an identical job in the same batch
 	// Forked counts executed points satisfied by forking a shared warmed
 	// snapshot, and Warmups the timed warmup phases actually run; both are
-	// zero when a substituted Sim bypasses the fork scheduler. Executed -
-	// Warmups is the number of warmups the scheduler saved.
+	// zero when a substituted Sim runs the points. Executed - Warmups is
+	// the number of warmups the scheduler saved.
 	Forked  int `json:"forked"`
 	Warmups int `json:"warmups"`
 	// Recovered counts jobs whose completions were replayed from a sweep
@@ -297,14 +294,9 @@ func Run(c Campaign) ([]Outcome, Stats, error) {
 // secddr-serve wire SIGINT to this.
 func RunContext(ctx context.Context, c Campaign) ([]Outcome, Stats, error) {
 	stats := Stats{Total: len(c.Jobs)}
-
 	store := c.Store
 	if store == nil {
-		ckpt, err := loadCheckpoint(c.Checkpoint)
-		if err != nil {
-			return nil, stats, err
-		}
-		store = ckpt
+		store = noStore{}
 	}
 
 	// Resolve each job to a digest; schedule one execution per distinct
@@ -335,20 +327,9 @@ func RunContext(ctx context.Context, c Campaign) ([]Outcome, Stats, error) {
 		order = append(order, d)
 	}
 
-	executed := make(map[string]sim.Result, len(order))
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
 	prog := &progressTracker{fn: c.Progress}
 	prog.resolved(stats.Total, stats.Cached, len(order))
-	if c.Sim == nil {
-		// Built-in simulator: the fork-after-warmup scheduler shares one
-		// warmup per snapshot group (forksched.go).
-		c.runForked(ctx, order, pending, keyOf, store, executed, &mu, &firstErr, prog)
-	} else {
-		c.runFlat(ctx, order, pending, keyOf, store, executed, &mu, &firstErr, prog)
-	}
+	executed, firstErr := c.runForked(ctx, order, pending, keyOf, store, prog)
 	stats.Executed = len(executed)
 	p := prog.snapshot()
 	stats.Forked, stats.Warmups = p.Forked, p.Warmups
@@ -381,3 +362,10 @@ func RunContext(ctx context.Context, c Campaign) ([]Outcome, Stats, error) {
 	}
 	return outs, stats, nil
 }
+
+// noStore is the Store of a campaign without one: it never hits and
+// forgets every record.
+type noStore struct{}
+
+func (noStore) Lookup(string) (sim.Result, bool) { return sim.Result{}, false }
+func (noStore) Record(string, sim.Result) error  { return nil }

@@ -3,10 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/csv"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"secddr/internal/config"
@@ -72,62 +69,6 @@ func TestDeriveSeedStable(t *testing.T) {
 	}
 }
 
-// TestCacheHitSkip re-runs an identical campaign against the same
-// checkpoint: every point must be served from cache, byte-identically.
-func TestCacheHitSkip(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt.json")
-	c := Campaign{Jobs: tinyGrid().Jobs(), Checkpoint: ckpt}
-
-	first, stats, err := Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Executed != 4 || stats.Cached != 0 {
-		t.Fatalf("first run stats = %+v, want 4 executed", stats)
-	}
-
-	second, stats, err := Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Executed != 0 || stats.Cached != 4 {
-		t.Fatalf("second run stats = %+v, want 4 cached / 0 executed", stats)
-	}
-	for i := range first {
-		if !second[i].Cached {
-			t.Errorf("outcome %q not marked cached", second[i].Key)
-		}
-		if !reflect.DeepEqual(first[i].Result, second[i].Result) {
-			t.Errorf("outcome %q differs between live and cached run", first[i].Key)
-		}
-	}
-}
-
-// TestCheckpointResume simulates an interrupted sweep: a first partial
-// campaign persists some points, then the full campaign runs only the rest.
-func TestCheckpointResume(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt.json")
-	jobs := tinyGrid().Jobs()
-
-	// "Interrupted" sweep: only the first point completed.
-	if _, stats, err := Run(Campaign{Jobs: jobs[:1], Checkpoint: ckpt}); err != nil {
-		t.Fatal(err)
-	} else if stats.Executed != 1 {
-		t.Fatalf("partial run stats = %+v", stats)
-	}
-
-	outs, stats, err := Run(Campaign{Jobs: jobs, Checkpoint: ckpt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Executed != 3 || stats.Cached != 1 {
-		t.Fatalf("resumed run stats = %+v, want 3 executed / 1 cached", stats)
-	}
-	if !outs[0].Cached {
-		t.Error("previously-completed point not served from checkpoint")
-	}
-}
-
 // TestDeterministicJSON runs the same campaign twice from scratch and
 // requires byte-identical JSON output.
 func TestDeterministicJSON(t *testing.T) {
@@ -186,23 +127,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if rows[0][0] != "key" || rows[1][0] != "mcf/unprotected" {
 		t.Errorf("unexpected CSV layout: %v", rows[:2])
-	}
-}
-
-func TestCorruptCheckpointRejected(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "bad.ckpt.json")
-	if err := os.WriteFile(ckpt, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Run(Campaign{Jobs: tinyGrid().Jobs()[:1], Checkpoint: ckpt}); err == nil {
-		t.Error("corrupt checkpoint accepted")
-	}
-	if err := os.WriteFile(ckpt, []byte(`{"version":99,"entries":{}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Run(Campaign{Jobs: tinyGrid().Jobs()[:1], Checkpoint: ckpt}); err == nil ||
-		!strings.Contains(err.Error(), "version") {
-		t.Errorf("version mismatch not rejected: %v", err)
 	}
 }
 

@@ -9,9 +9,8 @@ import (
 	"secddr/internal/sim"
 )
 
-// checkpointV1 mirrors the legacy harness checkpoint file shape (one JSON
-// document holding the whole digest -> result table). Declared here so the
-// migrator does not depend on internal/harness.
+// checkpointV1 is the legacy checkpoint file shape: one JSON document
+// holding the whole digest -> result table.
 type checkpointV1 struct {
 	Version int                   `json:"version"`
 	Entries map[string]sim.Result `json:"entries"`

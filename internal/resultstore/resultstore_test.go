@@ -1,6 +1,8 @@
 package resultstore
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -339,12 +341,90 @@ func TestMigrateCheckpoint(t *testing.T) {
 		t.Fatalf("re-migration = %d, %v; want 0", n, err)
 	}
 
-	// Wrong version refuses.
+	// Wrong version and corrupt JSON both refuse, naming the problem.
 	bad := filepath.Join(dir, "bad.ckpt.json")
-	os.WriteFile(bad, []byte(`{"version":9,"entries":{}}`), 0o644)
-	if _, err := MigrateCheckpoint(bad, s); err == nil {
-		t.Error("version-9 checkpoint migrated")
+	for doc, want := range map[string]string{
+		`{"version":9,"entries":{}}`: "version",
+		`{not json`:                  "corrupt",
+	} {
+		if err := os.WriteFile(bad, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := MigrateCheckpoint(bad, s); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("checkpoint %q: err = %v, want a %q rejection", doc, err, want)
+		}
 	}
+	if st := s.Stats(); st.Entries != 2 {
+		t.Errorf("rejected checkpoints changed the store: %d entries, want 2", st.Entries)
+	}
+}
+
+// FuzzMigrateCheckpoint feeds the checkpoint-v1 importer arbitrary files.
+// It must never panic; it either rejects the input with an error, or
+// every entry reads back equal through Lookup (and byte-identical after a
+// reopen from disk) and a second migration imports nothing.
+func FuzzMigrateCheckpoint(f *testing.F) {
+	for _, seed := range []string{
+		`{"version":1,"entries":{"aaa":{"Workload":"mcf","Mode":"secddr+ctr","IPC":1.25},"bbb":{"Workload":"lbm","Mode":"unprotected","IPC":2.5}}}`,
+		`{"version":1,"entries":{"a":{"Mode":"integrity-tree","PerCoreIPC":[0.5,1e-3],"Cycles":-7}}}`,
+		`{"version":1,"entries":{"":{"Mode":"unprotected"},"x":{"Workload":"w"}}}`,
+		`{"version":1,"entries":{}}`,
+		`{"version":1}`,
+		`{"version":9,"entries":{}}`,
+		`{not json`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dir := t.TempDir()
+		ckpt := filepath.Join(dir, "in.ckpt.json")
+		if err := os.WriteFile(ckpt, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		storeDir := filepath.Join(dir, "store")
+		s, err := Open(storeDir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := MigrateCheckpoint(ckpt, s); err != nil {
+			return // rejected
+		}
+		var doc checkpointV1
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatalf("migration accepted input that does not decode: %v", err)
+		}
+		for d, want := range doc.Entries {
+			got, ok := s.Lookup(d)
+			if !ok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("entry %q reads back %+v (found %v), want %+v", d, got, ok, want)
+			}
+		}
+		if n, err := MigrateCheckpoint(ckpt, s); err != nil || n != 0 {
+			t.Fatalf("second migration = %d, %v; want 0, nil", n, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := Open(storeDir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reopened.Close()
+		for d, want := range doc.Entries {
+			got, ok := reopened.Lookup(d)
+			if !ok {
+				t.Fatalf("entry %q lost across reopen", d)
+			}
+			gotJSON, _ := json.Marshal(got)
+			wantJSON, _ := json.Marshal(want)
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Fatalf("entry %q changed across reopen:\n got %s\nwant %s", d, gotJSON, wantJSON)
+			}
+		}
+	})
 }
 
 // TestHealth: the readiness probe is sticky on write failures and clears

@@ -8,70 +8,6 @@ import (
 	"secddr/internal/sim"
 )
 
-// Executor is anything that drains the server's job queue. Two
-// implementations exist and compose — a server may run both at once, each
-// popping whatever jobs the other has not taken:
-//
-//   - LocalExecutor: a bounded pool of in-process simulation goroutines,
-//     the single-machine mode and the fallback that keeps draining the
-//     queue when no remote workers are attached.
-//   - fleetExecutor: the remote worker fleet, i.e. the lease/result/
-//     heartbeat HTTP surface plus the lease-expiry reaper that reclaims
-//     jobs from crashed workers.
-//
-// Attach starts the executor's goroutines and returns immediately; the
-// executor stops taking new work when ctx is done (jobs it already holds
-// run to completion so their results still reach the store).
-type Executor interface {
-	Attach(ctx context.Context, q *Queue)
-}
-
-// LocalExecutor drains a Queue with Workers in-process goroutines, each
-// running one simulation at a time — the same bounded pool the server
-// used before the fleet existed, now behind the Executor seam.
-type LocalExecutor struct {
-	Workers int
-	// Sim runs one simulation; nil means sim.Run. Tests substitute stubs.
-	Sim func(sim.Options) (sim.Result, error)
-	// Running, when non-nil, is called with +1/-1 around each simulation
-	// (the server's secddr_sims_running gauge).
-	Running func(delta int)
-	// Observe, when non-nil, receives each simulation's wall-clock
-	// duration (the server's per-job sim-wall histogram).
-	Observe func(d time.Duration)
-}
-
-// Attach starts the pool. Each goroutine pops, simulates, completes; on
-// ctx cancellation it finishes its current job and exits.
-func (e *LocalExecutor) Attach(ctx context.Context, q *Queue) {
-	run := e.Sim
-	if run == nil {
-		run = sim.Run
-	}
-	for i := 0; i < e.Workers; i++ {
-		go func() {
-			for {
-				j := q.popLocal(ctx.Done())
-				if j == nil {
-					return
-				}
-				if e.Running != nil {
-					e.Running(+1)
-				}
-				start := time.Now()
-				res, err := run(j.Opt)
-				if e.Observe != nil {
-					e.Observe(time.Since(start))
-				}
-				if e.Running != nil {
-					e.Running(-1)
-				}
-				q.Complete(j.Digest, localWorkerID, res, err)
-			}
-		}()
-	}
-}
-
 // Lease-protocol bounds enforced by the fleet executor.
 const (
 	defaultLeaseTTL = 30 * time.Second
@@ -99,13 +35,12 @@ type fleetExecutor struct {
 	remoteComplete int64 // jobs finished by a remote result upload
 }
 
-func newFleetExecutor() *fleetExecutor {
-	return &fleetExecutor{lastSeen: make(map[string]time.Time), now: time.Now}
+func newFleetExecutor(q *Queue) *fleetExecutor {
+	return &fleetExecutor{q: q, lastSeen: make(map[string]time.Time), now: time.Now}
 }
 
-// Attach retains the queue and starts the reaper loop.
-func (f *fleetExecutor) Attach(ctx context.Context, q *Queue) {
-	f.q = q
+// startReaper reclaims expired leases every reapInterval until ctx is done.
+func (f *fleetExecutor) startReaper(ctx context.Context) {
 	go func() {
 		t := time.NewTicker(reapInterval)
 		defer t.Stop()
@@ -114,7 +49,7 @@ func (f *fleetExecutor) Attach(ctx context.Context, q *Queue) {
 			case <-ctx.Done():
 				return
 			case <-t.C:
-				q.Reap()
+				f.q.Reap()
 			}
 		}
 	}()

@@ -1,9 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -430,6 +433,93 @@ func TestWorkerReportsSimError(t *testing.T) {
 		t.Fatalf("sweep = %+v, want failed with the worker's error", st)
 	}
 
+	cancel()
+	wg.Wait()
+}
+
+// syncBuffer is a bytes.Buffer safe to write from the worker's goroutines
+// while the test polls it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// TestWorkerLogsHeartbeatFailure: a heartbeat the server rejects is
+// reported as a structured warning carrying the worker id and the error,
+// not dropped, and the batch still completes.
+func TestWorkerLogsHeartbeatFailure(t *testing.T) {
+	srv := NewServer(newMemStore(), ServerOptions{Workers: -1})
+	api := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/workers/heartbeat" {
+			http.Error(w, "heartbeat store offline", http.StatusInternalServerError)
+			return
+		}
+		api.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	var logs syncBuffer
+	release := make(chan struct{})
+	w := &Worker{
+		Client:   &Client{BaseURL: ts.URL},
+		ID:       "hb1",
+		Workers:  1,
+		LeaseTTL: time.Second, // the protocol minimum: heartbeats every ~333ms
+		PollWait: 50 * time.Millisecond,
+		Log:      slog.New(slog.NewTextHandler(&logs, nil)),
+		Sim: func(o sim.Options) (sim.Result, error) {
+			<-release
+			return fakeSim(o)
+		},
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); w.Run(ctx) }()
+
+	sw, err := srv.Submit(Spec{Modes: []string{"unprotected"}, Workloads: []string{"mcf"}, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(10 * time.Second)
+	for !strings.Contains(logs.String(), "heartbeat failed") {
+		select {
+		case <-deadline:
+			t.Fatalf("no heartbeat warning logged; worker log:\n%s", logs.String())
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	var line string
+	for _, l := range strings.Split(logs.String(), "\n") {
+		if strings.Contains(l, "heartbeat failed") {
+			line = l
+			break
+		}
+	}
+	for _, want := range []string{"level=WARN", "worker=hb1", "err=", "HTTP 500"} {
+		if !strings.Contains(line, want) {
+			t.Errorf("heartbeat warning %q lacks %q", line, want)
+		}
+	}
+
+	close(release)
+	if st := waitState(t, sw); st.State != string(stateDone) {
+		t.Fatalf("sweep = %+v, want done despite failed heartbeats", st)
+	}
 	cancel()
 	wg.Wait()
 }

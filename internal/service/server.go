@@ -27,10 +27,10 @@ func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // ServerOptions tunes a sweep server. The zero value is usable.
 type ServerOptions struct {
-	// Workers sizes the in-process execution pool (the LocalExecutor):
-	// 0 means GOMAXPROCS, a negative value disables local execution
-	// entirely — the server then only queues work for remote
-	// secddr-worker processes (fleet-only mode).
+	// Workers sizes the in-process execution pool: 0 means GOMAXPROCS,
+	// a negative value disables local execution entirely — the server
+	// then only queues work for remote secddr-worker processes
+	// (fleet-only mode).
 	Workers int
 	// BaseContext, when non-nil, bounds the lifetime of background sweep
 	// execution: once it is cancelled no new simulation starts.
@@ -71,7 +71,7 @@ type Server struct {
 	queue        *Queue
 	fleet        *fleetExecutor
 	localWorkers int                // 0 in fleet-only mode
-	stopExec     context.CancelFunc // stops the attached executors
+	stopExec     context.CancelFunc // stops the local pool and the lease reaper
 	metrics      *serverMetrics     // latency histograms served by /metrics
 	log          *slog.Logger       // structured progress; a discard logger when unset
 	wal          *WAL               // nil: ephemeral sweeps
@@ -106,9 +106,9 @@ type flight struct {
 	via  string // viaRan | viaStored | viaFailed
 }
 
-// NewServer builds a sweep server over a result store and attaches its
-// executors: the local pool (unless opt.Workers < 0) and the remote
-// fleet's lease surface, both draining one queue.
+// NewServer builds a sweep server over a result store and starts what
+// drains its queue: the local pool (unless opt.Workers < 0) and the
+// remote fleet's lease reaper.
 func NewServer(store harness.Store, opt ServerOptions) *Server {
 	workers := opt.Workers
 	if workers == 0 {
@@ -121,7 +121,7 @@ func NewServer(store harness.Store, opt ServerOptions) *Server {
 	if base == nil {
 		base = context.Background()
 	}
-	// Executors stop on BaseContext *or* Shutdown, whichever comes first,
+	// Execution stops on BaseContext *or* Shutdown, whichever comes first,
 	// so a library user without a BaseContext still gets their goroutines
 	// (pool + reaper) back by calling Shutdown.
 	execCtx, stopExec := context.WithCancel(base)
@@ -129,10 +129,11 @@ func NewServer(store harness.Store, opt ServerOptions) *Server {
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
+	queue := newQueue(store.Lookup)
 	s := &Server{
 		store:        store,
-		queue:        newQueue(store.Lookup),
-		fleet:        newFleetExecutor(),
+		queue:        queue,
+		fleet:        newFleetExecutor(queue),
 		localWorkers: workers,
 		stopExec:     stopExec,
 		metrics:      newServerMetrics(),
@@ -144,28 +145,41 @@ func NewServer(store harness.Store, opt ServerOptions) *Server {
 		sweeps:       make(map[string]*sweep),
 		inflight:     make(map[string]*flight),
 	}
-	s.queue.observeWait = s.metrics.observeQueueWait
-	s.queue.observeLease = s.metrics.observeLeaseDur
-	s.fleet.Attach(execCtx, s.queue)
-	if workers > 0 {
-		local := &LocalExecutor{
-			Workers: workers,
-			Sim:     func(o sim.Options) (sim.Result, error) { return s.runSim(o) },
-			Running: s.trackRunning,
-			Observe: s.metrics.observeSimWall,
-		}
-		local.Attach(execCtx, s.queue)
+	queue.observeWait = s.metrics.observeQueueWait
+	queue.observeLease = s.metrics.observeLeaseDur
+	s.fleet.startReaper(execCtx)
+	for i := 0; i < workers; i++ {
+		go s.runLocal(execCtx.Done())
 	}
 	// Whichever way execution stops — BaseContext cancelled or Shutdown
 	// called — the queue must close with it, so sweeps blocked on queued
-	// work fail with ErrShuttingDown instead of waiting on executors that
-	// no longer exist (the pre-fleet contract: cancelling BaseContext
-	// stops new simulations promptly).
+	// work fail with ErrShuttingDown instead of waiting on a pool and
+	// reaper that no longer exist (the pre-fleet contract: cancelling
+	// BaseContext stops new simulations promptly).
 	go func() {
 		<-execCtx.Done()
-		s.queue.Shutdown()
+		queue.Shutdown()
 	}()
 	return s
+}
+
+// runLocal is one slot of the in-process pool: it pops a job, simulates
+// it cold with runSim, and completes it, until stop is closed. A job it
+// already started runs to completion, so its result still reaches the
+// store.
+func (s *Server) runLocal(stop <-chan struct{}) {
+	for {
+		j := s.queue.popLocal(stop)
+		if j == nil {
+			return
+		}
+		s.trackRunning(+1)
+		start := time.Now()
+		res, err := s.runSim(j.Opt)
+		s.metrics.observeSimWall(time.Since(start))
+		s.trackRunning(-1)
+		s.queue.Complete(j.Digest, localWorkerID, res, err)
+	}
 }
 
 func (s *Server) trackRunning(delta int) {
@@ -177,8 +191,8 @@ func (s *Server) trackRunning(delta int) {
 // Shutdown stops execution for good: remote workers can no longer lease,
 // every pending or remote-leased job fails its flight with
 // ErrShuttingDown, jobs the in-process pool already started run to
-// completion (their results still reach the store), and the executor
-// goroutines (pool + lease reaper) exit. Call it before Drain so sweeps
+// completion (their results still reach the store), and the pool and
+// lease-reaper goroutines exit. Call it before Drain so sweeps
 // blocked on unacked remote work fail promptly instead of waiting on
 // workers that may never answer.
 //

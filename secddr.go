@@ -17,7 +17,7 @@
 //     every protection mode the paper evaluates.
 //   - The experiment harness: a generic campaign runner (RunCampaign) that
 //     executes workload x configuration grids on a bounded worker pool with
-//     digest-keyed result caching behind a pluggable Store, plus the
+//     digest-keyed result caching in the segment result store, plus the
 //     declarative figure definitions (Fig6 .. Fig12, Table2) that regenerate
 //     each table and figure of the paper's evaluation on top of it.
 //   - The campaign service (OpenResultStore, SweepClient, NewSweepServer,
@@ -163,7 +163,7 @@ func ParseScenarioManifest(data []byte) ([]Scenario, error) {
 // --- Experiment harness ---------------------------------------------------
 
 // Campaign is a batch of simulation jobs plus execution policy (worker
-// count, checkpoint path). See internal/harness.
+// count, result store). See internal/harness.
 type Campaign = harness.Campaign
 
 // CampaignJob is one simulation point of a campaign.
@@ -183,9 +183,8 @@ type CampaignOutcome = harness.Outcome
 // served from cache).
 type CampaignStats = harness.Stats
 
-// CampaignStore is the pluggable persistent result cache behind a
-// campaign (the legacy JSON checkpoint and the segment result store both
-// satisfy it).
+// CampaignStore is the persistent result cache behind a campaign; the
+// segment result store (ResultStore) satisfies it.
 type CampaignStore = harness.Store
 
 // RunCampaign executes a campaign on the parallel harness, skipping points
@@ -211,7 +210,8 @@ func OpenResultStore(dir string) (*ResultStore, error) {
 }
 
 // MigrateCheckpoint imports a legacy checkpoint-v1 JSON file into a
-// result store (idempotent; the source file is left untouched).
+// result store (idempotent; the source file is left untouched). It is the
+// only reader of that format left.
 func MigrateCheckpoint(path string, s *ResultStore) (int, error) {
 	return resultstore.MigrateCheckpoint(path, s)
 }
@@ -236,17 +236,12 @@ type SweepServer = service.Server
 // fleet-only: execute nothing in-process, serve leases to workers).
 type SweepServerOptions = service.ServerOptions
 
-// SweepExecutor drains a sweep server's job queue; the in-process pool
-// (service.LocalExecutor) and the remote worker fleet both implement it
-// and may run side by side. See DESIGN.md, "The worker fleet".
-type SweepExecutor = service.Executor
-
 // FleetWorker leases jobs from a sweep server and streams results back;
 // it is the engine of cmd/secddr-worker.
 type FleetWorker = service.Worker
 
 // NewSweepServer builds a sweep server over a result store (any
-// CampaignStore) and attaches its executors.
+// CampaignStore) and starts its in-process pool and lease reaper.
 func NewSweepServer(store CampaignStore, opt SweepServerOptions) *SweepServer {
 	return service.NewServer(store, opt)
 }
