@@ -103,6 +103,34 @@ func TestEventDrivenMatchesTickLoopMultiChannel(t *testing.T) {
 	}
 }
 
+// TestEventDrivenMatchesTickLoopSampled extends the identity property to
+// sampled fidelity, whose warmruns, measurement windows and memory drains
+// advance through the same loop: the event-driven run must reproduce the
+// tick loop's estimates exactly, not just within their intervals.
+func TestEventDrivenMatchesTickLoopSampled(t *testing.T) {
+	for _, mode := range []config.Mode{config.ModeSecDDRCTR, config.ModeIntegrityTree} {
+		for _, name := range []string{"mcf", "povray"} {
+			mode, name := mode, name
+			t.Run(name+"/"+mode.String(), func(t *testing.T) {
+				t.Parallel()
+				p, ok := trace.ByName(name)
+				if !ok {
+					t.Fatalf("unknown workload %s", name)
+				}
+				opt := Options{
+					Config:       config.Table1(mode),
+					Workload:     p,
+					InstrPerCore: 40_000,
+					WarmupInstr:  10_000,
+					Seed:         42,
+					Fidelity:     testFidelity(),
+				}
+				requireIdenticalRuns(t, opt)
+			})
+		}
+	}
+}
+
 // TestEventDrivenActuallySkips guards the fast-forward path against
 // silently regressing to "never skip": the identity property above would
 // still pass, but the speedup would be gone.
