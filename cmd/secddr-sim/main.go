@@ -16,7 +16,7 @@
 // per-channel DRAM issue and refresh spans, MSHR occupancy, scenario phase
 // transitions, and the warmup/measured run markers, all on the simulated
 // cycle clock. The trace never changes the simulation: the instrumented
-// result is byte-identical to a plain run's.
+// result is byte-identical to a plain run's, sampled estimates included.
 //
 // For multi-point grids (many workloads x many modes) use secddr-sweep,
 // which runs this same simulator on a parallel, cached campaign harness.

@@ -146,7 +146,7 @@ func TestEventDrivenActuallySkips(t *testing.T) {
 		WarmupInstr:  10_000,
 		Seed:         42,
 	}
-	s, err := runSystem(opt, false)
+	s, err := runSystem(opt, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestEventDrivenActuallySkips(t *testing.T) {
 		t.Errorf("fast-forwarding covered only %.1f%% of %d cycles on a stall-heavy run",
 			frac*100, s.cpuNow)
 	}
-	ref, err := runSystem(opt, true)
+	ref, err := runSystem(opt, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

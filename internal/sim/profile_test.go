@@ -106,9 +106,21 @@ func itoa(i int) string { return string(rune('0' + i)) }
 // TestRunInstrumentedTimeline is the timeline golden-shape test: the trace
 // must be valid Chrome trace-event JSON with monotone timestamps, only the
 // documented phase kinds, the run markers, and it must not perturb the
-// Result.
+// Result — for exact and sampled fidelity alike.
 func TestRunInstrumentedTimeline(t *testing.T) {
-	opt := scenarioOptions(t, "phase-alternate")
+	sampled := scenarioOptions(t, "phase-alternate")
+	sampled.Fidelity = testFidelity()
+	for name, opt := range map[string]Options{
+		"exact":   scenarioOptions(t, "phase-alternate"),
+		"sampled": sampled,
+	} {
+		t.Run(name, func(t *testing.T) {
+			checkInstrumentedTimeline(t, opt)
+		})
+	}
+}
+
+func checkInstrumentedTimeline(t *testing.T, opt Options) {
 	tl := obs.NewTimeline(opt.Config.Core.ClockMHz, 256, 0)
 	got, err := RunInstrumented(opt, &Instrument{Timeline: tl})
 	if err != nil {
@@ -120,6 +132,9 @@ func TestRunInstrumentedTimeline(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, plain) {
 		t.Errorf("instrumented result differs from plain run:\n%+v\nvs\n%+v", got, plain)
+	}
+	if opt.Fidelity.Sampled() && got.Estimates == nil {
+		t.Error("sampled instrumented run reports no estimates")
 	}
 
 	var buf bytes.Buffer
@@ -175,5 +190,56 @@ func TestRunInstrumentedTimeline(t *testing.T) {
 		if !cats[c] {
 			t.Errorf("missing event category %q", c)
 		}
+	}
+}
+
+// TestTimelineIssueSpansSkipFastForward: a sampled fast-forward issues no
+// DRAM command, so no issue span may stretch across its clock jump. Under
+// the reference tick loop every executed cycle polls the timeline and
+// advances the memory clock by at most one cycle, so apart from those
+// jumps no issue span can be longer than one memory cycle.
+func TestTimelineIssueSpansSkipFastForward(t *testing.T) {
+	opt := scenarioOptions(t, "phase-alternate")
+	opt.Fidelity = testFidelity()
+	cpuMHz, memMHz := opt.Config.Core.ClockMHz, opt.Config.DRAM.ClockMHz
+	if memMHz > cpuMHz {
+		t.Fatalf("memory clock %d MHz above core clock %d MHz", memMHz, cpuMHz)
+	}
+	tl := obs.NewTimeline(cpuMHz, 256, 0)
+	s, err := runSystem(opt, true, tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.skipEvents == 0 {
+		t.Fatal("sampled run took no fast-forward jumps")
+	}
+	var buf bytes.Buffer
+	if err := tl.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Ts   float64 `json:"ts"`
+			Dur  float64 `json:"dur"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	// One memory cycle spans at most ceil(cpu/mem) CPU cycles.
+	maxDur := float64((cpuMHz+memMHz-1)/memMHz)/float64(cpuMHz) + 1e-9
+	spans := 0
+	for _, e := range doc.TraceEvents {
+		if !strings.HasSuffix(e.Name, " issue") {
+			continue
+		}
+		spans++
+		if e.Dur > maxDur {
+			t.Fatalf("%s span at %gus lasts %gus, more than one memory cycle", e.Name, e.Ts, e.Dur)
+		}
+	}
+	if spans == 0 {
+		t.Fatal("trace has no issue spans")
 	}
 }

@@ -13,25 +13,28 @@ import (
 //
 //	[window][fast-forward][warmrun][window][fast-forward][warmrun]...
 //
-// Each *window* runs the ordinary event-driven loop and contributes one
-// sample per metric; the first window opens directly on the warmed,
-// drained snapshot, which is exactly the state an exact run starts
-// measuring from. Each *fast-forward* drains the memory system, retires
-// the rest of the period's instructions functionally — LLC, metadata
-// cache, prefetcher, and dirty-victim state stay warm, no timing is
-// modeled — and jumps both clocks by the span's estimated cycles (the
-// per-core cycles-per-instruction observed in the window just closed),
-// rebasing DRAM refresh deadlines past the jump. Each *warmrun* runs the
-// detailed loop unmeasured to re-prime the state fast-forwarding cannot
-// keep warm: controller queues, MSHR pressure, in-flight dependence
-// chains, and open-row locality.
+// Each *window* runs the detailed loop and contributes one sample per
+// metric: the rates of the counters delta across it, the same rates an
+// exact run reports over its whole region. Each *fast-forward* drains the
+// memory system, retires the rest of the period's instructions
+// functionally — LLC, metadata cache, prefetcher, and dirty-victim state
+// stay warm, no timing is modeled — and jumps both clocks by the span's
+// estimated cycles (the per-core cycles-per-instruction observed in the
+// window just closed), rebasing DRAM refresh deadlines past the jump.
+// Each *warmrun* runs the detailed loop unmeasured to re-prime the state
+// fast-forwarding cannot keep warm: controller queues, MSHR pressure,
+// in-flight dependence chains, and open-row locality.
+//
+// Warmruns, windows and drains all advance through system.step, the one
+// detailed loop the exact region and warmup use too; they differ only in
+// their stop checks. So the event-driven and reference tick-loop flavours
+// agree here by identity, exactly as for exact runs.
 //
 // Per-window samples aggregate into mean ± 95% CI (stats.Estimator);
 // Result's point fields become those means and Result.Estimates reports
 // the intervals. Validation against the exact loop is by *tolerance*, not
 // identity: the property tests assert the sampled CI95 contains the
-// exact-loop value, mirroring how the event-driven loop was validated
-// against the tick loop by identity.
+// exact-loop value.
 
 // minSampleWindows is the smallest number of windows the TargetCI early
 // stop may conclude on: below it the t critical value is so wide that a
@@ -62,22 +65,10 @@ type sampState struct {
 	ipc, bw, mpki, lat, row, meta stats.Estimator
 	perCore                       []stats.Estimator
 
-	agg windowAgg
-}
-
-// windowAgg sums the per-window counter deltas, so ratio metrics that need
-// a single pooled denominator (miss rates) and the extrapolated counter
-// fields of Result have measured-window totals to work from.
-type windowAgg struct {
-	instr                        uint64
-	demandMiss, llcAccess        uint64
-	metaAcc, metaMiss, metaReads uint64
-	readLatSum, readsDone        uint64
-	writesEnq                    uint64
-	numRD, numWR                 uint64
-	busBusy                      uint64
-	prefetches                   uint64
-	memCycles                    int64
+	// pooled sums the recorded windows' counter deltas, so the LLC miss
+	// rate gets a single pooled denominator and Result's counter fields
+	// have measured-window totals to extrapolate from.
+	pooled counters
 }
 
 // Clone deep-copies the sampled-loop state for a forked system.
@@ -88,33 +79,6 @@ func (p *sampState) Clone() *sampState {
 	n.cpi = append([]float64(nil), p.cpi...)
 	n.perCore = append([]stats.Estimator(nil), p.perCore...)
 	return n
-}
-
-// winCounters freezes the measurement-relevant counters at a window
-// boundary; recordWindow differences two of them into one sample set.
-type winCounters struct {
-	mem                   memTotals
-	demandMiss, llcAccess uint64
-	metaAcc, metaMiss     uint64
-	metaReads             uint64
-	prefetches            uint64
-	memNow                int64
-}
-
-func (s *system) counterSample() winCounters {
-	wc := winCounters{
-		mem:        s.memTotals(),
-		demandMiss: s.demandMiss,
-		llcAccess:  s.llcAccess,
-		metaReads:  s.engine.MetaReads,
-		prefetches: s.prefetches,
-		memNow:     s.memNow,
-	}
-	if mc := s.engine.MetaCache(); mc != nil {
-		wc.metaAcc = mc.Accesses
-		wc.metaMiss = mc.Misses
-	}
-	return wc
 }
 
 // funcPort adapts the system to cpu.FuncMemory for fast-forward phases:
@@ -230,7 +194,7 @@ func (s *system) runSampled() error {
 			preRet[i] = c.Retired
 			target[i] = capT(c.Retired + fid.WindowInstr)
 		}
-		pre := s.counterSample()
+		pre := s.readCounters()
 		samp.winStart = s.cpuNow
 		if err := s.runDetailedUntil(target, samp.winFin, total); err != nil {
 			return err
@@ -330,20 +294,18 @@ func (s *system) runSampled() error {
 // clock jump needs them), but a truncated end-of-run window — under half
 // the nominal length — contributes no samples: its ratios are computed
 // over too few events to be one vote among equals.
-func (s *system) recordWindow(pre winCounters, preRet, target []uint64) {
+func (s *system) recordWindow(pre counters, preRet, target []uint64) {
 	samp := s.samp
-	post := s.counterSample()
-	var winInstr, instr uint64
+	var winInstr uint64
 	ipcTotal := 0.0
 	clamped := false
 	perCore := make([]float64, len(s.cores))
-	for i, c := range s.cores {
+	for i := range s.cores {
 		var ci uint64 // a core past the total target contributes nothing
 		if target[i] > preRet[i] {
 			ci = target[i] - preRet[i]
 		}
 		winInstr += ci
-		instr += c.Retired - preRet[i]
 		w := samp.winFin[i] - samp.winStart
 		if w < 1 {
 			w = 1
@@ -366,41 +328,19 @@ func (s *system) recordWindow(pre winCounters, preRet, target []uint64) {
 	for i := range perCore {
 		samp.perCore[i].Add(perCore[i])
 	}
-	dm := post.memNow - pre.memNow
-	if dm > 0 {
-		bytes := float64(post.mem.busBusy-pre.mem.busBusy) * 2 * 8
-		seconds := float64(dm) / (float64(s.opt.Config.DRAM.ClockMHz) * 1e6)
-		samp.bw.Add(bytes / seconds / 1e9)
+	d := s.readCounters().sub(pre)
+	rt := d.rates(s.opt.Config.DRAM.ClockMHz)
+	sample := func(e *stats.Estimator, r rate) {
+		if r.ok {
+			e.Add(r.v)
+		}
 	}
-	if ki := float64(instr) / 1000; ki > 0 {
-		samp.mpki.Add(float64(post.demandMiss-pre.demandMiss) / ki)
-	}
-	if done := post.mem.readsDone - pre.mem.readsDone; done > 0 {
-		samp.lat.Add(float64(post.mem.readLatSum-pre.mem.readLatSum) / float64(done))
-	}
-	hits := post.mem.rowHits - pre.mem.rowHits
-	if rows := hits + (post.mem.rowMisses - pre.mem.rowMisses) + (post.mem.rowConfl - pre.mem.rowConfl); rows > 0 {
-		samp.row.Add(float64(hits) / float64(rows))
-	}
-	if macc := post.metaAcc - pre.metaAcc; macc > 0 {
-		samp.meta.Add(float64(post.metaMiss-pre.metaMiss) / float64(macc))
-	}
-
-	agg := &samp.agg
-	agg.instr += instr
-	agg.demandMiss += post.demandMiss - pre.demandMiss
-	agg.llcAccess += post.llcAccess - pre.llcAccess
-	agg.metaAcc += post.metaAcc - pre.metaAcc
-	agg.metaMiss += post.metaMiss - pre.metaMiss
-	agg.metaReads += post.metaReads - pre.metaReads
-	agg.readLatSum += post.mem.readLatSum - pre.mem.readLatSum
-	agg.readsDone += post.mem.readsDone - pre.mem.readsDone
-	agg.writesEnq += post.mem.writesEnq - pre.mem.writesEnq
-	agg.numRD += post.mem.numRD - pre.mem.numRD
-	agg.numWR += post.mem.numWR - pre.mem.numWR
-	agg.busBusy += post.mem.busBusy - pre.mem.busBusy
-	agg.prefetches += post.prefetches - pre.prefetches
-	agg.memCycles += dm
+	sample(&samp.bw, rt.bwGBs)
+	sample(&samp.mpki, rt.mpki)
+	sample(&samp.lat, rt.readLat)
+	sample(&samp.row, rt.rowHit)
+	sample(&samp.meta, rt.metaMiss)
+	samp.pooled = samp.pooled.add(d)
 }
 
 // runDetailedUntil runs the detailed loop until every core has retired at
@@ -410,13 +350,10 @@ func (s *system) recordWindow(pre winCounters, preRet, target []uint64) {
 // visibly where bandwidth saturates. Only cores that reach the run's total
 // target freeze (the exact loop's end-of-run semantics; frozen cores keep
 // receiving completions — see the frozen field's invariant). When fin is
-// non-nil it records each core's crossing cycle with the same cpuNow+1
-// convention runMeasured uses for finish cycles.
+// non-nil it records each core's crossing cycle, dated like runMeasured's
+// finish cycles.
 func (s *system) runDetailedUntil(target []uint64, fin []int64, total uint64) error {
 	opt := s.opt
-	tickLoop := !s.eventDriven
-	cpuMHz := opt.Config.Core.ClockMHz
-	memMHz := opt.Config.DRAM.ClockMHz
 	remaining := 0
 	crossed := make([]bool, len(s.cores))
 	for i, c := range s.cores {
@@ -435,39 +372,15 @@ func (s *system) runDetailedUntil(target []uint64, fin []int64, total uint64) er
 			return fmt.Errorf("sim: %s/%v sampled run exceeded cycle cap %d (%d cores mid-phase)",
 				opt.WorkloadName(), opt.Config.Security.Mode, opt.MaxCycles, remaining)
 		}
-		if !tickLoop {
-			if jump := s.idleCycles(cpuMHz, memMHz); jump > 0 {
-				s.skipEvents++
-				s.skipCycles += jump
-				s.cpuNow += jump
-				total := int64(s.memAcc) + jump*int64(memMHz)
-				s.memNow += total / int64(cpuMHz)
-				s.memAcc = int(total % int64(cpuMHz))
-				continue
-			}
+		if !s.step() {
+			continue
 		}
-		s.memAcc += memMHz
-		for s.memAcc >= cpuMHz {
-			s.memAcc -= cpuMHz
-			s.memTick()
-		}
-		if debugHook != nil {
-			debugHook(s)
-		}
+		// A frozen core has crossed already: targets never exceed total.
 		for i, c := range s.cores {
-			if s.frozen[i] {
-				continue
-			}
-			if tickLoop || s.coreNextAt[i] <= s.cpuNow {
-				c.Tick(s.cpuNow)
-				if !tickLoop {
-					s.coreNextAt[i] = c.NextEvent(s.cpuNow)
-				}
-			}
 			if !crossed[i] && c.Retired >= target[i] {
 				crossed[i] = true
 				if fin != nil {
-					fin[i] = s.cpuNow + 1
+					fin[i] = s.cpuNow
 				}
 				remaining--
 			}
@@ -475,15 +388,11 @@ func (s *system) runDetailedUntil(target []uint64, fin []int64, total uint64) er
 				s.frozen[i] = true
 			}
 		}
-		if s.tl != nil {
-			s.pollTimeline()
-		}
-		s.cpuNow++
 	}
 	return nil
 }
 
-// drainMemory freezes every core and ticks the memory domain until
+// drainMemory freezes every core and steps the memory domain until
 // everything except queued writes has drained, so a fast-forward's clock
 // jump never strands in-flight timing state. Queued writes deliberately
 // survive the jump: they are jump-safe (Controller.ReadsIdle), and
@@ -492,9 +401,6 @@ func (s *system) runDetailedUntil(target []uint64, fin []int64, total uint64) er
 // window and biasing its bandwidth sample high.
 func (s *system) drainMemory() error {
 	opt := s.opt
-	tickLoop := !s.eventDriven
-	cpuMHz := opt.Config.Core.ClockMHz
-	memMHz := opt.Config.DRAM.ClockMHz
 	for i := range s.cores {
 		s.frozen[i] = true
 	}
@@ -503,49 +409,25 @@ func (s *system) drainMemory() error {
 			return fmt.Errorf("sim: %s/%v sampled run exceeded cycle cap %d (draining)",
 				opt.WorkloadName(), opt.Config.Security.Mode, opt.MaxCycles)
 		}
-		if !tickLoop {
-			if jump := s.idleCycles(cpuMHz, memMHz); jump > 0 {
-				s.skipEvents++
-				s.skipCycles += jump
-				s.cpuNow += jump
-				total := int64(s.memAcc) + jump*int64(memMHz)
-				s.memNow += total / int64(cpuMHz)
-				s.memAcc = int(total % int64(cpuMHz))
-				continue
-			}
-		}
-		s.memAcc += memMHz
-		for s.memAcc >= cpuMHz {
-			s.memAcc -= cpuMHz
-			s.memTick()
-		}
-		if debugHook != nil {
-			debugHook(s)
-		}
-		s.cpuNow++
+		s.step()
 	}
 	return nil
 }
 
-// jumpClocks advances both clock domains by jump CPU cycles with the exact
-// arithmetic the tick loop performs, then rebases every channel's refresh
-// deadlines past the jump (the skipped span's refreshes are deemed done).
+// jumpClocks advances both clock domains by jump CPU cycles of functional
+// fast-forward, then rebases every channel's refresh deadlines past the
+// jump (the skipped span's refreshes are deemed done). A recorded timeline
+// restarts its issue-span cursor after the jump, so no issue span covers
+// the skipped gap.
 func (s *system) jumpClocks(jump int64) {
-	if jump <= 0 {
-		return
-	}
-	cpuMHz := s.opt.Config.Core.ClockMHz
-	memMHz := s.opt.Config.DRAM.ClockMHz
-	s.skipEvents++
-	s.skipCycles += jump
-	s.cpuNow += jump
-	total := int64(s.memAcc) + jump*int64(memMHz)
-	s.memNow += total / int64(cpuMHz)
-	s.memAcc = int(total % int64(cpuMHz))
+	s.advanceClocks(jump)
 	for _, ctl := range s.engine.Controllers() {
 		ctl.SkipRefreshTo(s.memNow)
 	}
 	s.memEventStale = true
+	if s.tl != nil {
+		s.prof.tlPollMem = s.memNow
+	}
 }
 
 // collectSampled assembles a sampled run's Result: point fields are the
@@ -563,28 +445,23 @@ func (s *system) collectSampled() Result {
 		r.PerCoreIPC = append(r.PerCoreIPC, samp.perCore[i].Mean())
 	}
 	r.IPC = samp.ipc.Mean()
-	for _, c := range s.cores {
-		r.Instructions += c.Retired
-	}
-	r.Instructions -= s.snap.instructions
+	r.Instructions = s.readCounters().sub(s.base).instructions
 	r.LLCMPKI = samp.mpki.Mean()
-	agg := samp.agg
-	if agg.llcAccess > 0 {
-		r.LLCMissRate = float64(agg.demandMiss) / float64(agg.llcAccess)
-	}
+	pooled := samp.pooled
+	r.LLCMissRate = pooled.rates(s.opt.Config.DRAM.ClockMHz).missRate.v
 	r.MetaMissRate = samp.meta.Mean()
 	r.AvgReadLatency = samp.lat.Mean()
 	r.RowHitRate = samp.row.Mean()
 	r.BandwidthGBs = samp.bw.Mean()
-	if agg.instr > 0 {
-		scale := float64(r.Instructions) / float64(agg.instr)
+	if pooled.instructions > 0 {
+		scale := float64(r.Instructions) / float64(pooled.instructions)
 		round := func(v uint64) uint64 { return uint64(float64(v)*scale + 0.5) }
-		r.MetaAccesses = round(agg.metaAcc)
-		r.MetaMemReads = round(agg.metaReads)
-		r.DRAMReads = round(agg.numRD)
-		r.DRAMWrites = round(agg.numWR)
-		r.PrefetchesSent = round(agg.prefetches)
-		r.WritebacksToMem = round(agg.writesEnq)
+		r.MetaAccesses = round(pooled.metaAcc)
+		r.MetaMemReads = round(pooled.metaReads)
+		r.DRAMReads = round(pooled.numRD)
+		r.DRAMWrites = round(pooled.numWR)
+		r.PrefetchesSent = round(pooled.prefetches)
+		r.WritebacksToMem = round(pooled.writesEnq)
 	}
 	r.Profile = s.profile()
 	r.Estimates = make(map[string]Estimate)

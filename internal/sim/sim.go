@@ -99,8 +99,8 @@ func (o Options) newCoreSource(i int, saltExtra uint64) (opSource, error) {
 	return trace.NewGenerator(o.Workload, base, seed)
 }
 
-// debugHook, when set by a test, observes the system after each simulated
-// (non-skipped) iteration's memory ticks, before the core ticks.
+// debugHook, when set by a test, observes the system in each executed
+// (non-skipped) step, after the memory ticks and before the core ticks.
 var debugHook func(*system)
 
 // simVersion tags Summary/Digest with the simulator's behavioral revision.
@@ -146,16 +146,21 @@ type Result struct {
 	Instructions uint64
 	Cycles       int64 // CPU cycles until the last core finished
 
-	LLCMPKI         float64 // demand misses per kilo-instruction
-	LLCMissRate     float64
-	MetaMissRate    float64 // metadata cache (Fig. 7)
-	MetaAccesses    uint64
-	MetaMemReads    uint64  // metadata fetches that reached DRAM
-	AvgReadLatency  float64 // memory cycles, controller enqueue to data
-	RowHitRate      float64
-	DRAMReads       uint64
-	DRAMWrites      uint64
-	BandwidthGBs    float64 // average data-bus bandwidth
+	LLCMPKI        float64 // demand misses per kilo-instruction
+	LLCMissRate    float64
+	MetaMissRate   float64 // metadata cache (Fig. 7)
+	MetaAccesses   uint64
+	MetaMemReads   uint64  // metadata fetches that reached DRAM
+	AvgReadLatency float64 // memory cycles, controller enqueue to data
+	RowHitRate     float64
+	DRAMReads      uint64
+	DRAMWrites     uint64
+	BandwidthGBs   float64 // average data-bus bandwidth
+	// PrefetchesSent counts prefetch fills, over a span that depends on
+	// fidelity: an exact run reports every prefetch since its timed warmup
+	// began, warmup included, while a sampled run extrapolates its
+	// measured windows' prefetches to the measured region. Aligning the
+	// two changes results and so needs a simVersion bump.
 	PrefetchesSent  uint64
 	WritebacksToMem uint64
 
@@ -248,7 +253,7 @@ type system struct {
 	demandMiss  uint64
 	llcAccess   uint64
 	prefetches  uint64
-	snap        snapshot
+	base        counters // reading at the start of the measured region
 
 	// Cycle-attribution profiler state (profile.go). mshrRejects counts
 	// per-core structural-stall rejections and stays inline — it is
@@ -282,71 +287,117 @@ type system struct {
 	primedMeta *cache.Cache
 }
 
-// snapshot freezes the measurement-relevant counters at warmup completion
-// so collect() reports the measured region only.
-type snapshot struct {
+// counters is one reading of the measurement-relevant counters, summed
+// across memory channels so single- and multi-channel configurations
+// report alike. The difference of two readings (sub) measures a region:
+// an exact run's whole measured region, or one sampled window.
+type counters struct {
+	instructions                 uint64
 	demandMiss, llcAccess        uint64
 	metaAcc, metaMiss, metaReads uint64
+	prefetches                   uint64
 	readLatSum, readsDone        uint64
 	writesEnq                    uint64
 	numRD, numWR                 uint64
 	rowHits, rowMisses, rowConfl uint64
 	busBusy                      uint64
-	memNow                       int64
-	instructions                 uint64
+	memCycles                    uint64
 }
 
-// memTotals sums the measurement-relevant controller and channel counters
-// across every memory channel, so single- and multi-channel configurations
-// report through the same snapshot/collect path.
-type memTotals struct {
-	readLatSum, readsDone        uint64
-	writesEnq                    uint64
-	numRD, numWR                 uint64
-	rowHits, rowMisses, rowConfl uint64
-	busBusy                      uint64
-}
-
-func (s *system) memTotals() memTotals {
-	var t memTotals
-	for _, ctl := range s.engine.Controllers() {
-		ch := ctl.Channel()
-		t.readLatSum += ctl.ReadLatencySum
-		t.readsDone += ctl.ReadsCompleted
-		t.writesEnq += ctl.WritesEnqueued
-		t.numRD += ch.NumRD
-		t.numWR += ch.NumWR
-		t.rowHits += ch.RowHits
-		t.rowMisses += ch.RowMisses
-		t.rowConfl += ch.RowConflicts
-		t.busBusy += ch.DataBusBusyCycles
-	}
-	return t
-}
-
-func (s *system) takeSnapshot() {
-	mt := s.memTotals()
-	s.snap = snapshot{
+func (s *system) readCounters() counters {
+	c := counters{
 		demandMiss: s.demandMiss,
 		llcAccess:  s.llcAccess,
 		metaReads:  s.engine.MetaReads,
-		readLatSum: mt.readLatSum,
-		readsDone:  mt.readsDone,
-		writesEnq:  mt.writesEnq,
-		numRD:      mt.numRD,
-		numWR:      mt.numWR,
-		rowHits:    mt.rowHits,
-		rowMisses:  mt.rowMisses,
-		rowConfl:   mt.rowConfl,
-		busBusy:    mt.busBusy,
-		memNow:     s.memNow,
+		prefetches: s.prefetches,
+		memCycles:  uint64(s.memNow),
 	}
 	if mc := s.engine.MetaCache(); mc != nil {
-		s.snap.metaAcc = mc.Accesses
-		s.snap.metaMiss = mc.Misses
+		c.metaAcc, c.metaMiss = mc.Accesses, mc.Misses
 	}
-	for _, c := range s.cores {
-		s.snap.instructions += c.Retired
+	for _, core := range s.cores {
+		c.instructions += core.Retired
+	}
+	for _, ctl := range s.engine.Controllers() {
+		ch := ctl.Channel()
+		c.readLatSum += ctl.ReadLatencySum
+		c.readsDone += ctl.ReadsCompleted
+		c.writesEnq += ctl.WritesEnqueued
+		c.numRD += ch.NumRD
+		c.numWR += ch.NumWR
+		c.rowHits += ch.RowHits
+		c.rowMisses += ch.RowMisses
+		c.rowConfl += ch.RowConflicts
+		c.busBusy += ch.DataBusBusyCycles
+	}
+	return c
+}
+
+// sub returns the counts accumulated from the earlier reading o to c.
+func (c counters) sub(o counters) counters {
+	return c.zip(o, func(a, b uint64) uint64 { return a - b })
+}
+
+// add sums two deltas; the sampled loop pools its measured windows with it.
+func (c counters) add(o counters) counters {
+	return c.zip(o, func(a, b uint64) uint64 { return a + b })
+}
+
+func (c counters) zip(o counters, f func(a, b uint64) uint64) counters {
+	return counters{
+		instructions: f(c.instructions, o.instructions),
+		demandMiss:   f(c.demandMiss, o.demandMiss),
+		llcAccess:    f(c.llcAccess, o.llcAccess),
+		metaAcc:      f(c.metaAcc, o.metaAcc),
+		metaMiss:     f(c.metaMiss, o.metaMiss),
+		metaReads:    f(c.metaReads, o.metaReads),
+		prefetches:   f(c.prefetches, o.prefetches),
+		readLatSum:   f(c.readLatSum, o.readLatSum),
+		readsDone:    f(c.readsDone, o.readsDone),
+		writesEnq:    f(c.writesEnq, o.writesEnq),
+		numRD:        f(c.numRD, o.numRD),
+		numWR:        f(c.numWR, o.numWR),
+		rowHits:      f(c.rowHits, o.rowHits),
+		rowMisses:    f(c.rowMisses, o.rowMisses),
+		rowConfl:     f(c.rowConfl, o.rowConfl),
+		busBusy:      f(c.busBusy, o.busBusy),
+		memCycles:    f(c.memCycles, o.memCycles),
+	}
+}
+
+// rate is one ratio metric of a counters delta. ok is false when the
+// denominator is zero — a degenerate window with nothing to divide by —
+// and v then reads 0 rather than the NaN that would break JSON encoding.
+type rate struct {
+	v  float64
+	ok bool
+}
+
+func ratio(num, den float64) rate {
+	if den > 0 {
+		return rate{num / den, true}
+	}
+	return rate{}
+}
+
+// rates are the ratio metrics an exact run reports over its measured
+// region and a sampled run samples per window.
+type rates struct {
+	mpki, missRate, metaMiss, readLat, rowHit, bwGBs rate
+}
+
+func (d counters) rates(dramMHz int) rates {
+	// Bytes moved / wall time: busy cycles x 2 beats x 8 bytes, summed
+	// over channels (each channel has its own data bus).
+	bw := ratio(float64(d.busBusy)*2*8, float64(d.memCycles)/(float64(dramMHz)*1e6))
+	bw.v /= 1e9
+	return rates{
+		mpki:     ratio(float64(d.demandMiss), float64(d.instructions)/1000),
+		missRate: ratio(float64(d.demandMiss), float64(d.llcAccess)),
+		metaMiss: ratio(float64(d.metaMiss), float64(d.metaAcc)),
+		readLat:  ratio(float64(d.readLatSum), float64(d.readsDone)),
+		rowHit:   ratio(float64(d.rowHits), float64(d.rowHits+d.rowMisses+d.rowConfl)),
+		bwGBs:    bw,
 	}
 }
 
@@ -501,11 +552,11 @@ func (s *system) memTick() {
 // skipped because no component would change state in any of them: every
 // unfinished core's next event lies beyond the skipped window, and none of
 // the memory cycles the window contains can perform controller, channel, or
-// engine work. Returns 0 when the current cycle must be simulated. The
-// per-iteration warmup/finish bookkeeping in run() cannot fire inside a
-// skipped window either: retirement counts are frozen while cores are
-// inert, and both thresholds are checked in the same iteration a count
-// crosses them.
+// engine work. Returns 0 when the current cycle must be simulated. No
+// phase's stop check or per-core bookkeeping can fire inside a skipped
+// window either: retirement counts are frozen while cores are inert, and
+// every phase checks its thresholds after the executed step in which a
+// count crosses them.
 func (s *system) idleCycles(cpuMHz, memMHz int) int64 {
 	// Cores first: the check is O(1) per core, and in compute-heavy phases
 	// some core is almost always active, short-circuiting before the more
@@ -562,6 +613,69 @@ func (s *system) idleCycles(cpuMHz, memMHz int) int64 {
 	return jump
 }
 
+// step advances the system by one loop iteration, the only way any phase
+// moves the clocks forward. In event-driven mode it first asks idleCycles
+// whether the coming cycles are provable no-ops; if so it jumps both clock
+// domains past them and reports false. Otherwise it executes one CPU cycle
+// — the memory ticks the clock ratio owes, debugHook, a Tick of every core
+// that is neither frozen nor finished (only cores whose cached next event
+// is due when event-driven; the reference loop ticks them all), and the
+// timeline poll — and reports true. Phases keep their own stop checks and
+// per-core bookkeeping, run after each executed step; a crossing they
+// detect there is dated cpuNow, the cycle after the tick that made it.
+func (s *system) step() bool {
+	cpuMHz := s.opt.Config.Core.ClockMHz
+	memMHz := s.opt.Config.DRAM.ClockMHz
+	if s.eventDriven {
+		if jump := s.idleCycles(cpuMHz, memMHz); jump > 0 {
+			s.advanceClocks(jump)
+			return false
+		}
+	}
+	s.memAcc += memMHz
+	for s.memAcc >= cpuMHz {
+		s.memAcc -= cpuMHz
+		s.memTick()
+	}
+	if debugHook != nil {
+		debugHook(s)
+	}
+	ev, now := s.eventDriven, s.cpuNow
+	for i, c := range s.cores {
+		if s.frozen[i] || s.finishCycle[i] != 0 {
+			continue
+		}
+		// A core whose cached next event lies beyond this cycle cannot
+		// change state: its Tick is a semantic no-op, so the event-driven
+		// loop skips the call. Completions delivered by this iteration's
+		// memory ticks invalidate the cache, so an async wake is never
+		// missed.
+		if !ev {
+			c.Tick(now)
+		} else if s.coreNextAt[i] <= now {
+			c.Tick(now)
+			s.coreNextAt[i] = c.NextEvent(now)
+		}
+	}
+	if s.tl != nil {
+		s.pollTimeline()
+	}
+	s.cpuNow++
+	return true
+}
+
+// advanceClocks advances both clock domains by jump CPU cycles with the
+// exact arithmetic ticking through them would perform.
+func (s *system) advanceClocks(jump int64) {
+	cpuMHz := int64(s.opt.Config.Core.ClockMHz)
+	total := int64(s.memAcc) + jump*int64(s.opt.Config.DRAM.ClockMHz)
+	s.skipEvents++
+	s.skipCycles += jump
+	s.cpuNow += jump
+	s.memNow += total / cpuMHz
+	s.memAcc = int(total % cpuMHz)
+}
+
 // Run executes one simulation and returns its metrics. The clock advance is
 // event-driven: whenever every core and every memory-channel component is
 // provably inert, both clock domains jump straight to the next cycle at
@@ -570,15 +684,15 @@ func (s *system) idleCycles(cpuMHz, memMHz int) int64 {
 // result-identical to the reference tick loop (runTickLoop) for every
 // configuration — the property tests assert this across modes, workloads,
 // and channel counts.
-func Run(opt Options) (Result, error) { return run(opt, false) }
+func Run(opt Options) (Result, error) { return run(opt, false, nil) }
 
 // runTickLoop executes the same simulation with the reference cycle-by-
 // cycle loop. It exists so tests and benchmarks can compare the two
 // advance strategies; production callers should use Run.
-func runTickLoop(opt Options) (Result, error) { return run(opt, true) }
+func runTickLoop(opt Options) (Result, error) { return run(opt, true, nil) }
 
-func run(opt Options, tickLoop bool) (Result, error) {
-	s, err := runSystem(opt, tickLoop)
+func run(opt Options, tickLoop bool, tl *obs.Timeline) (Result, error) {
+	s, err := runSystem(opt, tickLoop, tl)
 	if err != nil {
 		return Result{}, err
 	}
@@ -589,18 +703,23 @@ func run(opt Options, tickLoop bool) (Result, error) {
 // and returns the finished system, so tests can inspect internals (e.g.
 // fast-forward statistics) that Result does not carry. A cold run and a
 // forked run execute exactly the same three phases; the only difference is
-// that a fork deep-copies the warmed system between the first two.
-func runSystem(opt Options, tickLoop bool) (*system, error) {
+// that a fork deep-copies the warmed system between the first two. A
+// non-nil tl records the run's timeline from the end of warmup on.
+func runSystem(opt Options, tickLoop bool, tl *obs.Timeline) (*system, error) {
 	s, err := warmSystem(opt, tickLoop)
 	if err != nil {
 		return nil, err
 	}
+	s.tl = tl
+	s.mark("warmup-done")
 	if err := s.resume(opt); err != nil {
 		return nil, err
 	}
+	s.mark("measured-start")
 	if err := s.runMeasuredRegion(); err != nil {
 		return nil, err
 	}
+	s.mark("measured-end")
 	return s, nil
 }
 
@@ -701,8 +820,6 @@ func warmSystem(opt Options, tickLoop bool) (*system, error) {
 	// executed iteration — retirement counts only change in core ticks, so
 	// a crossing can never hide inside a fast-forwarded window, and both
 	// loop flavours freeze at identical cycles.
-	cpuMHz := wopt.Config.Core.ClockMHz
-	memMHz := wopt.Config.DRAM.ClockMHz
 	warming := n
 	for {
 		for i, c := range s.cores {
@@ -718,37 +835,7 @@ func warmSystem(opt Options, tickLoop bool) (*system, error) {
 			return nil, fmt.Errorf("sim: %s warmup exceeded cycle cap %d (%d cores warming)",
 				wopt.WorkloadName(), wopt.MaxCycles, warming)
 		}
-		if !tickLoop {
-			if jump := s.idleCycles(cpuMHz, memMHz); jump > 0 {
-				s.skipEvents++
-				s.skipCycles += jump
-				s.cpuNow += jump
-				total := int64(s.memAcc) + jump*int64(memMHz)
-				s.memNow += total / int64(cpuMHz)
-				s.memAcc = int(total % int64(cpuMHz))
-				continue
-			}
-		}
-		s.memAcc += memMHz
-		for s.memAcc >= cpuMHz {
-			s.memAcc -= cpuMHz
-			s.memTick()
-		}
-		if debugHook != nil {
-			debugHook(s)
-		}
-		for i, c := range s.cores {
-			if s.frozen[i] {
-				continue
-			}
-			if tickLoop || s.coreNextAt[i] <= s.cpuNow {
-				c.Tick(s.cpuNow)
-				if !tickLoop {
-					s.coreNextAt[i] = c.NextEvent(s.cpuNow)
-				}
-			}
-		}
-		s.cpuNow++
+		s.step()
 	}
 	return s, nil
 }
@@ -809,7 +896,7 @@ func (s *system) resume(opt Options) error {
 		s.warmCycle[i] = s.cpuNow
 		s.finishCycle[i] = 0
 	}
-	s.takeSnapshot()
+	s.base = s.readCounters()
 	s.armProfiler()
 	return nil
 }
@@ -819,9 +906,6 @@ func (s *system) resume(opt Options) error {
 // counts, as it always has).
 func (s *system) runMeasured() error {
 	opt := s.opt
-	tickLoop := !s.eventDriven
-	cpuMHz := opt.Config.Core.ClockMHz
-	memMHz := opt.Config.DRAM.ClockMHz
 	remaining := len(s.cores)
 	target := opt.WarmupInstr + opt.InstrPerCore
 	// A wide retire can overshoot warmup past the whole target in one
@@ -834,54 +918,15 @@ func (s *system) runMeasured() error {
 		}
 	}
 	for remaining > 0 && s.cpuNow < opt.MaxCycles {
-		if !tickLoop {
-			if jump := s.idleCycles(cpuMHz, memMHz); jump > 0 {
-				// Every skipped iteration is a proven no-op in both clock
-				// domains: advance the clocks with the exact arithmetic the
-				// tick loop would have performed and re-evaluate.
-				s.skipEvents++
-				s.skipCycles += jump
-				s.cpuNow += jump
-				total := int64(s.memAcc) + jump*int64(memMHz)
-				s.memNow += total / int64(cpuMHz)
-				s.memAcc = int(total % int64(cpuMHz))
-				continue
-			}
-		}
-		s.memAcc += memMHz
-		for s.memAcc >= cpuMHz {
-			s.memAcc -= cpuMHz
-			s.memTick()
-		}
-		if debugHook != nil {
-			debugHook(s)
+		if !s.step() {
+			continue
 		}
 		for i, c := range s.cores {
-			if s.finishCycle[i] != 0 {
-				continue
-			}
-			// A core whose cached next event lies beyond this cycle cannot
-			// change state: its Tick is a semantic no-op, so the event-
-			// driven loop skips the call. Completions delivered by this
-			// iteration's memory ticks invalidate the cache, so an async
-			// wake is never missed. The reference loop ticks
-			// unconditionally. The finish check below still runs either
-			// way, identically in both loops.
-			if tickLoop || s.coreNextAt[i] <= s.cpuNow {
-				c.Tick(s.cpuNow)
-				if !tickLoop {
-					s.coreNextAt[i] = c.NextEvent(s.cpuNow)
-				}
-			}
-			if c.Retired >= target {
-				s.finishCycle[i] = s.cpuNow + 1
+			if s.finishCycle[i] == 0 && c.Retired >= target {
+				s.finishCycle[i] = s.cpuNow
 				remaining--
 			}
 		}
-		if s.tl != nil {
-			s.pollTimeline()
-		}
-		s.cpuNow++
 	}
 	if remaining > 0 {
 		return fmt.Errorf("sim: %s/%v exceeded cycle cap %d (%d cores unfinished)",
@@ -903,7 +948,7 @@ func (s *system) collect() Result {
 		Mode:     s.opt.Config.Security.Mode,
 		Cycles:   s.cpuNow,
 	}
-	for i, c := range s.cores {
+	for i := range s.cores {
 		window := s.finishCycle[i] - s.warmCycle[i]
 		if window < 1 {
 			// Warmup and the retirement target crossed in the same cycle:
@@ -915,45 +960,16 @@ func (s *system) collect() Result {
 		ipc := float64(s.opt.InstrPerCore) / float64(window)
 		r.PerCoreIPC = append(r.PerCoreIPC, ipc)
 		r.IPC += ipc
-		r.Instructions += c.Retired
 	}
-	r.Instructions -= s.snap.instructions
-	// Guard every measured-window ratio: a degenerate window (see
-	// IPCClamped) can leave zero instructions or accesses in the
-	// denominator, and a NaN anywhere in Result breaks JSON encoding.
-	if ki := float64(r.Instructions) / 1000; ki > 0 {
-		r.LLCMPKI = float64(s.demandMiss-s.snap.demandMiss) / ki
-	}
-	if acc := s.llcAccess - s.snap.llcAccess; acc > 0 {
-		r.LLCMissRate = float64(s.demandMiss-s.snap.demandMiss) / float64(acc)
-	}
-	if mc := s.engine.MetaCache(); mc != nil {
-		if acc := mc.Accesses - s.snap.metaAcc; acc > 0 {
-			r.MetaMissRate = float64(mc.Misses-s.snap.metaMiss) / float64(acc)
-		}
-		r.MetaAccesses = mc.Accesses - s.snap.metaAcc
-	}
-	r.MetaMemReads = s.engine.MetaReads - s.snap.metaReads
-	mt := s.memTotals()
-	if done := mt.readsDone - s.snap.readsDone; done > 0 {
-		r.AvgReadLatency = float64(mt.readLatSum-s.snap.readLatSum) / float64(done)
-	}
-	r.DRAMReads = mt.numRD - s.snap.numRD
-	r.DRAMWrites = mt.numWR - s.snap.numWR
-	hits := mt.rowHits - s.snap.rowHits
-	total := hits + (mt.rowMisses - s.snap.rowMisses) + (mt.rowConfl - s.snap.rowConfl)
-	if total > 0 {
-		r.RowHitRate = float64(hits) / float64(total)
-	}
-	if dm := s.memNow - s.snap.memNow; dm > 0 {
-		// Bytes moved / wall time: busy cycles x 2 beats x 8 bytes, summed
-		// over channels (each channel has its own data bus).
-		bytes := float64(mt.busBusy-s.snap.busBusy) * 2 * 8
-		seconds := float64(dm) / (float64(s.opt.Config.DRAM.ClockMHz) * 1e6)
-		r.BandwidthGBs = bytes / seconds / 1e9
-	}
+	d := s.readCounters().sub(s.base)
+	rt := d.rates(s.opt.Config.DRAM.ClockMHz)
+	r.Instructions = d.instructions
+	r.LLCMPKI, r.LLCMissRate, r.MetaMissRate = rt.mpki.v, rt.missRate.v, rt.metaMiss.v
+	r.AvgReadLatency, r.RowHitRate, r.BandwidthGBs = rt.readLat.v, rt.rowHit.v, rt.bwGBs.v
+	r.MetaAccesses, r.MetaMemReads = d.metaAcc, d.metaReads
+	r.DRAMReads, r.DRAMWrites = d.numRD, d.numWR
 	r.PrefetchesSent = s.prefetches
-	r.WritebacksToMem = mt.writesEnq - s.snap.writesEnq
+	r.WritebacksToMem = d.writesEnq
 	r.Profile = s.profile()
 	return r
 }

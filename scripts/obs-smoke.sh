@@ -3,7 +3,9 @@
 #
 #   1. `secddr-sim -timeline` writes a Chrome/Perfetto trace of one run;
 #      obscheck validates its golden shape (valid JSON, monotone
-#      timestamps, the run/dram/mem categories, counter values).
+#      timestamps, the run/dram/mem categories, counter values). A
+#      sampled-fidelity run must keep its estimates when it records a
+#      timeline, and its trace must pass the same check.
 #   2. A local-pool secddr-serve runs a QuickScale 2x2 grid; obscheck
 #      asserts /metrics is valid Prometheus text exposition, carries the
 #      build-info gauge, and that all four latency histograms counted
@@ -59,6 +61,11 @@ echo "== stage 1: -timeline trace golden shape"
 "$work/secddr-sim" -workload mcf -instr 200000 -warmup 20000 \
   -timeline "$work/trace.json" >/dev/null 2>"$work/sim.log"
 "$work/obscheck" -trace "$work/trace.json"
+"$work/secddr-sim" -workload mcf -instr 200000 -warmup 20000 -fidelity sampled \
+  -timeline "$work/trace-sampled.json" -json >"$work/sampled.json" 2>"$work/sim-sampled.log"
+grep -q '"estimates"' "$work/sampled.json" \
+  || { echo "FAIL: sampled -timeline run reports no estimates"; cat "$work/sampled.json"; exit 1; }
+"$work/obscheck" -trace "$work/trace-sampled.json"
 
 echo "== stage 2: local-pool serve, 2x2 grid, full histogram accounting"
 boot_serve local
